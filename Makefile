@@ -22,17 +22,20 @@ bench:
 # The pinned data-plane benchmark set the benchstat CI gate compares
 # against main. Parent names only: sub-benchmarks (WritePath/vnc, ...) run
 # because go test splits the -bench regex on '/'.
-BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkWDInject$$|BenchmarkWritePath$$|BenchmarkSimulatorThroughput$$|BenchmarkSimRunSharded$$
+# Keep in sync with the baseline regex of the bench-gate job in
+# .github/workflows/ci.yml.
+BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkWDInject$$|BenchmarkDINEncode$$|BenchmarkECPRecordWD$$|BenchmarkTranslate$$|BenchmarkPrereadIssue$$|BenchmarkWritePath$$|BenchmarkSimulatorThroughput$$|BenchmarkSimRunSharded$$
+BENCH_PKGS = ./internal/pcm ./internal/wd ./internal/din ./internal/ecp ./internal/vm ./internal/mc .
 
 # Where bench-json records the per-benchmark medians; the CI bench-gate sets
 # it explicitly so the Makefile and workflow can never disagree on the name.
-BENCH_OUT ?= BENCH_10.json
+BENCH_OUT ?= BENCH_12.json
 
-# Run the pinned set three times, keep the raw text (bench.txt, what
+# Run the pinned set six times, keep the raw text (bench.txt, what
 # benchstat consumes) and record per-benchmark medians as $(BENCH_OUT).
 bench-json:
-	$(GO) test -run '^$$' -bench '$(BENCH_PIN)' -benchtime 200ms -count 3 \
-		./internal/pcm ./internal/wd ./internal/mc . > bench.txt
+	$(GO) test -run '^$$' -bench '$(BENCH_PIN)' -benchtime 200ms -count 6 \
+		$(BENCH_PKGS) > bench.txt
 	$(GO) run ./scripts/benchgate -emit bench.txt > $(BENCH_OUT)
 
 # Refresh the pinned golden tables after an intentional simulator change.

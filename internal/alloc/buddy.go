@@ -45,7 +45,9 @@ type Allocator struct {
 	free      map[Tag][][]int // free[tag][order] = sorted block starts
 	fragments map[Tag]map[int]bool
 	allocated map[int]Block
-	owner     map[int]Tag // region start -> (n:m) tag owning it
+	// owner[r] is the (n:m) tag owning marking region r (pages
+	// r*regionPages...); the zero Tag marks an unowned, Free-(1:1) region.
+	owner []Tag
 
 	// OnOwnerChange, when set, observes every owner-map mutation: a region
 	// acquired by an (n:m) tag (present=true) or returned to Free-(1:1)
@@ -86,7 +88,7 @@ func NewWithStrip(totalPages, regionPages, stripPages int) (*Allocator, error) {
 		free:        make(map[Tag][][]int),
 		fragments:   make(map[Tag]map[int]bool),
 		allocated:   make(map[int]Block),
-		owner:       make(map[int]Tag),
+		owner:       make([]Tag, totalPages/regionPages),
 	}
 	// Seed Free-(1:1) with region-order blocks; insertion coalesces upward.
 	for s := 0; s < totalPages; s += regionPages {
@@ -94,6 +96,9 @@ func NewWithStrip(totalPages, regionPages, stripPages int) (*Allocator, error) {
 	}
 	return a, nil
 }
+
+// TotalPages returns the number of physical pages the allocator manages.
+func (a *Allocator) TotalPages() int { return a.totalPages }
 
 // RegionPages returns the marking-region span in pages.
 func (a *Allocator) RegionPages() int { return a.regionPages }
@@ -165,18 +170,18 @@ func (a *Allocator) StripIndexInRegion(p pcm.PageAddr) int { return a.stripIndex
 // region owned by an (n:m) allocator follow its marking; everything else is
 // usable.
 func (a *Allocator) PageInUse(p pcm.PageAddr) bool {
-	t, ok := a.owner[int(p)/a.regionPages*a.regionPages]
-	if !ok {
+	t := a.RegionTag(p)
+	if t == Tag11 {
 		return true
 	}
 	return t.StripInUse(a.stripIndex(int(p)))
 }
 
 // RegionTag returns the (n:m) tag owning the page's marking region, or
-// Tag11 when the region is unowned.
+// Tag11 when the region is unowned (or outside the allocator).
 func (a *Allocator) RegionTag(p pcm.PageAddr) Tag {
-	if t, ok := a.owner[int(p)/a.regionPages*a.regionPages]; ok {
-		return t
+	if r := uint64(p) / uint64(a.regionPages); r < uint64(len(a.owner)) && a.owner[r] != (Tag{}) {
+		return a.owner[r]
 	}
 	return Tag11
 }
@@ -211,7 +216,7 @@ func (a *Allocator) insert(t Tag, start, order int) {
 			// The block covers whole marking regions: return them to
 			// Free-(1:1) and keep coalescing there.
 			for r := start; r < start+(1<<order); r += a.regionPages {
-				delete(a.owner, r)
+				a.owner[r/a.regionPages] = Tag{}
 				if a.OnOwnerChange != nil {
 					a.OnOwnerChange(r, Tag11, false)
 				}
@@ -331,7 +336,7 @@ func (a *Allocator) Alloc(pages int, t Tag) (Block, error) {
 				continue
 			}
 			for r := rStart; r < rStart+(1<<rOrder); r += a.regionPages {
-				a.owner[r] = t
+				a.owner[r/a.regionPages] = t
 				if a.OnOwnerChange != nil {
 					a.OnOwnerChange(r, t, true)
 				}
@@ -433,7 +438,9 @@ func (a *Allocator) Snapshot() Stats {
 		st.AllocatedPages += b.Pages()
 	}
 	for _, t := range a.owner {
-		st.OwnedRegions[t]++
+		if t != (Tag{}) {
+			st.OwnedRegions[t]++
+		}
 	}
 	return st
 }

@@ -79,13 +79,19 @@ func (a *Allocator) EncodeState(e *snap.Encoder) {
 		e.Int(b.Tag.M)
 	}
 
-	ownerStarts := sortedInts(a.owner)
-	e.Uvarint(uint64(len(ownerStarts)))
-	for _, s := range ownerStarts {
-		t := a.owner[s]
-		e.Int(s)
-		e.Int(t.N)
-		e.Int(t.M)
+	owned := 0
+	for _, t := range a.owner {
+		if t != (Tag{}) {
+			owned++
+		}
+	}
+	e.Uvarint(uint64(owned))
+	for r, t := range a.owner {
+		if t != (Tag{}) {
+			e.Int(r * a.regionPages)
+			e.Int(t.N)
+			e.Int(t.M)
+		}
 	}
 	e.End()
 }
@@ -141,10 +147,20 @@ func (a *Allocator) DecodeState(d *snap.Decoder) error {
 	}
 
 	no := d.Uvarint()
-	a.owner = make(map[int]Tag, no)
+	if no > uint64(len(a.owner)) {
+		d.Reject("alloc: %d owned regions of %d", no, len(a.owner))
+	}
+	clear(a.owner)
 	for i := uint64(0); i < no && d.Err() == nil; i++ {
-		s := d.Int()
-		a.owner[s] = Tag{N: d.Int(), M: d.Int()}
+		s, t := d.Int(), Tag{N: d.Int(), M: d.Int()}
+		switch {
+		case s < 0 || s >= a.totalPages || s%a.regionPages != 0:
+			d.Reject("alloc: owned region start %d is not a region of %d pages", s, a.totalPages)
+		case !t.Valid() || t.N == t.M:
+			d.Reject("alloc: region %d owned by invalid tag %v", s, t)
+		default:
+			a.owner[s/a.regionPages] = t
+		}
 	}
 	d.End()
 	return d.Err()

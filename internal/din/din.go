@@ -24,6 +24,7 @@ package din
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sdpcm/internal/pcm"
 )
@@ -54,130 +55,136 @@ type Stats struct {
 	BitsSaved       uint64 // programmed-cell reduction vs identity coding
 }
 
-// Codec encodes line data into disturbance-minimising stored images and
-// remembers each line's current per-group polarity. A nil *Codec is valid
-// and behaves as the identity transform (encoding disabled).
+// Codec encodes line data into disturbance-minimising stored images. It is
+// a pure transform plus counters: each line's per-group polarity word (bit
+// g set = group g stored inverted) is owned by the caller, which keeps it
+// beside the line's cells (pcm.Side.Aux). A nil *Codec is valid and behaves
+// as the identity transform (encoding disabled).
 type Codec struct {
 	Stats Stats
-
-	aux map[pcm.LineAddr]uint32 // bit g set = group g stored inverted
 }
 
 // NewCodec returns an enabled codec.
-func NewCodec() *Codec {
-	return &Codec{aux: make(map[pcm.LineAddr]uint32)}
-}
+func NewCodec() *Codec { return &Codec{} }
 
-// groupWordShift returns the word index and bit shift of group g's lane.
-func groupWordShift(g int) (word int, shift uint) {
-	return g * GroupBits / 64, uint(g * GroupBits % 64)
-}
+// groupsPerSeg is the number of coding groups (16-bit lanes) in one 64-bit
+// chip-segment word.
+const groupsPerSeg = SegmentBits / GroupBits
 
-// Decode maps a stored image back to data using the line's recorded coding.
-func (c *Codec) Decode(a pcm.LineAddr, stored pcm.Line) pcm.Line {
-	if c == nil {
-		return stored
-	}
-	auxBits := c.aux[a]
-	if auxBits == 0 {
-		return stored
-	}
-	out := stored
-	for g := 0; g < GroupsPerLine; g++ {
-		if auxBits&(1<<uint(g)) != 0 {
-			w, s := groupWordShift(g)
-			out[w] ^= uint64(0xffff) << s
+// laneMask expands a segment's four polarity bits into the XOR mask that
+// inverts the selected 16-bit lanes.
+var laneMask = func() (m [1 << groupsPerSeg]uint64) {
+	for nib := range m {
+		for k := 0; k < groupsPerSeg; k++ {
+			if nib&(1<<k) != 0 {
+				m[nib] |= 0xffff << (k * GroupBits)
+			}
 		}
 	}
-	return out
+	return m
+}()
+
+// Lane-boundary bits of a segment word: shifting a pulse map by one cell
+// must not carry a group's edge cell into its neighbour lane.
+const (
+	laneFirst = 0x0001000100010001 // bit 0 of every lane
+	laneLast  = 0x8000800080008000 // bit 15 of every lane
+)
+
+// Decode maps a stored image back to data using the line's polarity word.
+func (c *Codec) Decode(aux uint32, stored pcm.Line) pcm.Line {
+	if c == nil || aux == 0 {
+		return stored
+	}
+	for w := range stored {
+		stored[w] ^= laneMask[aux>>(w*groupsPerSeg)&0xf]
+	}
+	return stored
 }
 
 // Encode produces the stored image for writing data over the current stored
-// image. On a nil codec the stored image is the data itself.
-func (c *Codec) Encode(a pcm.LineAddr, data, stored pcm.Line) pcm.Line {
+// image and records the chosen polarities in *aux. On a nil codec the
+// stored image is the data itself and *aux is left alone.
+//
+// Both candidates of every group are scored in one pass over each segment
+// word: with p the data and o the old image, identity stores p and the
+// inverted candidate stores ^p, so their RESET maps are o&^p and o&p and
+// their idle-amorphous maps ^(o|p) and ^o&p, and the two share one change
+// count c (16-c for the inverted form). The in-group victim and edge terms
+// of all four groups are counted at once in 16-bit lanes; only the boundary
+// pair with the already-fixed cell to the left couples the greedy choices,
+// and it is one bit per group.
+func (c *Codec) Encode(aux *uint32, data, stored pcm.Line) pcm.Line {
 	if c == nil {
 		return data
 	}
 	var newAux uint32
 	out := data
-	identityChanges, chosenChanges := 0, 0
-	for g := 0; g < GroupsPerLine; g++ {
-		w, s := groupWordShift(g)
-		oldBits := uint16(stored[w] >> s)
-		plain := uint16(data[w] >> s)
-		inv := ^plain
-		// Greedy: groups to the left of g are already fixed in out.
-		var leftOldBit, leftNewBit uint64
-		groupsPerSeg := SegmentBits / GroupBits
-		posInSeg := g % groupsPerSeg
-		hasLeft := posInSeg != 0
-		if hasLeft {
-			leftOldBit = stored.Bit(g*GroupBits - 1)
-			leftNewBit = out.Bit(g*GroupBits - 1)
+	identityChanges, chosenChanges, vulnerable := 0, 0, 0
+	for w := range data {
+		o, p := stored[w], data[w]
+		resetID, resetInv := o&^p, o&p
+		amorID, amorInv := ^(o | p), ^o&p
+		// Per-lane risk before the left-boundary pair: in-group victims,
+		// plus edgePenalty when the segment's first or last cell resets
+		// (it threatens the horizontally adjacent line, unverifiable).
+		riskID := laneCounts(amorID&laneNeighbours(resetID)) +
+			edgePenalty*(resetID&1) + edgePenalty*(resetID>>63)<<(SegmentBits-GroupBits)
+		riskInv := laneCounts(amorInv&laneNeighbours(resetInv)) +
+			edgePenalty*(resetInv&1) + edgePenalty*(resetInv>>63)<<(SegmentBits-GroupBits)
+		changes := laneCounts(o ^ p)
+		var inv uint64 // this segment's polarity bits
+		// The cell left of the group, before and after the write; the
+		// segment's first group has none (1,1 disables both terms).
+		leftOld, leftNew := uint64(1), uint64(1)
+		for k := uint(0); k < groupsPerSeg; k++ {
+			s := k * GroupBits & 63
+			c0 := (leftOld | leftNew) ^ 1 // idle amorphous: our bit 0 resetting victimises it
+			c1 := leftOld &^ leftNew      // resetting: it victimises our idle bit 0
+			idRisk := riskID>>s&0xff + resetID>>s&c0 + amorID>>s&c1
+			invRisk := riskInv>>s&0xff + resetInv>>s&c0 + amorInv>>s&c1
+			// Lower risk wins, then fewer programmed cells; identity wins
+			// exact ties for stable aux bits. Both keys are small, so the
+			// sign of their difference is the choice.
+			ch := changes >> s & 0xff
+			flip := (invRisk<<5 + GroupBits - ch - (idRisk<<5 + ch)) >> 63
+			inv |= flip << (k & 63)
+			top := (s + GroupBits - 1) & 63
+			leftOld = o >> top & 1
+			leftNew = (p>>top ^ flip) & 1
 		}
-		atSegStart := posInSeg == 0
-		atSegEnd := posInSeg == groupsPerSeg-1
-		cPlain := groupCost(oldBits, plain, hasLeft, leftOldBit, leftNewBit, atSegStart, atSegEnd)
-		cInv := groupCost(oldBits, inv, hasLeft, leftOldBit, leftNewBit, atSegStart, atSegEnd)
-		choose, chosen := plain, cPlain
-		if !better(cPlain, cInv) {
-			choose, chosen = inv, cInv
-			newAux |= 1 << uint(g)
-			c.Stats.GroupsInverted++
-		}
-		identityChanges += cPlain.changes
-		chosenChanges += chosen.changes
-		out[w] = (out[w] &^ (uint64(0xffff) << s)) | uint64(choose)<<s
+		nw := p ^ laneMask[inv]
+		out[w] = nw
+		newAux |= uint32(inv) << (w * groupsPerSeg)
+		identityChanges += bits.OnesCount64(o ^ p)
+		chosenChanges += bits.OnesCount64(o ^ nw)
+		// Victims the chosen image's own pulses leave (Vulnerable, fused).
+		agg := o &^ nw
+		vulnerable += bits.OnesCount64(^(o | nw) & (agg<<1 | agg>>1))
 	}
 	if identityChanges > chosenChanges {
 		c.Stats.BitsSaved += uint64(identityChanges - chosenChanges)
 	}
-	c.aux[a] = newAux
+	c.Stats.GroupsInverted += uint64(bits.OnesCount32(newAux))
 	c.Stats.Encodes++
-	c.Stats.VulnerableCells += uint64(vulnerableCount(stored, out))
+	c.Stats.VulnerableCells += uint64(vulnerable)
+	*aux = newAux
 	return out
 }
 
-// cost ranks a candidate group coding.
-type cost struct {
-	risk    int // vulnerable victims + weighted edge aggressors
-	changes int // cells programmed
+// laneNeighbours returns the cells horizontally adjacent to the set cells
+// of m, without crossing 16-bit lane boundaries.
+func laneNeighbours(m uint64) uint64 {
+	return (m<<1)&^laneFirst | (m>>1)&^laneLast
 }
 
-// better reports whether a is preferable to b: lower risk first, then fewer
-// programmed cells, with a (identity) winning exact ties for stable aux bits.
-func better(a, b cost) bool {
-	if a.risk != b.risk {
-		return a.risk < b.risk
-	}
-	return a.changes <= b.changes
-}
-
-// groupCost evaluates writing cand over old within one 16-cell group,
-// counting in-group victims, the boundary pair with the already-fixed cell
-// to the left, and segment-edge aggressors.
-func groupCost(old, cand uint16, hasLeft bool, leftOld, leftNew uint64, atSegStart, atSegEnd bool) cost {
-	resets := old &^ cand     // cells pulsed 1→0
-	idle := ^(old ^ cand)     // cells not programmed
-	amorphous := idle & ^cand // idle cells reading 0
-	changes := popcount16(old ^ cand)
-	risk := popcount16(amorphous & ((resets << 1) | (resets >> 1)))
-	if hasLeft {
-		leftIdle := leftOld == leftNew
-		if leftIdle && leftNew == 0 && resets&1 != 0 {
-			risk++ // our bit 0 resetting victimises the fixed left cell
-		}
-		if leftOld == 1 && leftNew == 0 && amorphous&1 != 0 {
-			risk++ // the left cell's RESET victimises our idle bit 0
-		}
-	}
-	if atSegStart && resets&1 != 0 {
-		risk += edgePenalty // threatens previous slot's line (unverifiable)
-	}
-	if atSegEnd && resets&(1<<15) != 0 {
-		risk += edgePenalty // threatens next slot's line
-	}
-	return cost{risk: risk, changes: changes}
+// laneCounts returns the population count of each 16-bit lane of x in the
+// low byte of that lane.
+func laneCounts(x uint64) uint64 {
+	x -= x >> 1 & 0x5555555555555555
+	x = x&0x3333333333333333 + x>>2&0x3333333333333333
+	x = (x + x>>4) & 0x0f0f0f0f0f0f0f0f
+	return (x + x>>8) & 0x00ff00ff00ff00ff
 }
 
 // Vulnerable returns the idle amorphous cells horizontally adjacent (within
@@ -194,13 +201,6 @@ func Vulnerable(aggressors pcm.Mask, old, new pcm.Line) pcm.Mask {
 		out[w] = amorphous & ((aggressors[w] << 1) | (aggressors[w] >> 1))
 	}
 	return out
-}
-
-// vulnerableCount counts the victims a write's own differential pulses
-// create (for codec statistics).
-func vulnerableCount(old, new pcm.Line) int {
-	reset, _ := pcm.DiffMasks(old, new)
-	return Vulnerable(reset, old, new).PopCount()
 }
 
 // EdgeExposure describes the written line's residual word-line aggressors:
@@ -226,31 +226,6 @@ func Edges(resetMask pcm.Mask) EdgeExposure {
 		e.RightAggressor[seg] = resetMask[w]&(1<<63) != 0
 	}
 	return e
-}
-
-// Forget drops the codec's aux state for a line (used when a line is
-// decommissioned, e.g. marked no-use by the (n:m) allocator).
-func (c *Codec) Forget(a pcm.LineAddr) {
-	if c != nil {
-		delete(c.aux, a)
-	}
-}
-
-// AuxBits exposes a line's current coding word for inspection/testing.
-func (c *Codec) AuxBits(a pcm.LineAddr) uint32 {
-	if c == nil {
-		return 0
-	}
-	return c.aux[a]
-}
-
-func popcount16(x uint16) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // sanity check at init: exactly one 64-bit word per chip segment.

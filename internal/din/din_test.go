@@ -11,9 +11,9 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	c := NewCodec()
 	if err := quick.Check(func(d, s [8]uint64) bool {
 		data, stored := pcm.Line(d), pcm.Line(s)
-		a := pcm.LineAddr(d[0] % 1000)
-		img := c.Encode(a, data, stored)
-		return c.Decode(a, img) == data
+		var aux uint32
+		img := c.Encode(&aux, data, stored)
+		return c.Decode(aux, img) == data
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
@@ -24,13 +24,14 @@ func TestSequentialWritesRoundTrip(t *testing.T) {
 	// latest coding.
 	c := NewCodec()
 	var stored pcm.Line
+	var aux uint32
 	for i := 0; i < 50; i++ {
 		var data pcm.Line
 		for w := range data {
 			data[w] = uint64(i)*0x9e3779b97f4a7c15 + uint64(w)*12345
 		}
-		stored = c.Encode(7, data, stored)
-		if c.Decode(7, stored) != data {
+		stored = c.Encode(&aux, data, stored)
+		if c.Decode(aux, stored) != data {
 			t.Fatalf("roundtrip failed at write %d", i)
 		}
 	}
@@ -40,17 +41,17 @@ func TestNilCodecIsIdentity(t *testing.T) {
 	var c *Codec
 	var data, stored pcm.Line
 	data[0] = 0xabcdef
-	img := c.Encode(1, data, stored)
+	aux := uint32(0xdead)
+	img := c.Encode(&aux, data, stored)
 	if img != data {
 		t.Fatal("nil codec must store data verbatim")
 	}
-	if c.Decode(1, img) != data {
+	if aux != 0xdead {
+		t.Fatal("nil codec must leave the polarity word alone")
+	}
+	if c.Decode(aux, img) != img {
 		t.Fatal("nil codec decode must be identity")
 	}
-	if c.AuxBits(1) != 0 {
-		t.Fatal("nil codec has no aux bits")
-	}
-	c.Forget(1) // must not panic
 }
 
 func TestVulnerableDefinition(t *testing.T) {
@@ -142,12 +143,13 @@ func TestEncodingReducesVulnerability(t *testing.T) {
 		return Vulnerable(reset, old, new).PopCount()
 	}
 	var storedCoded, storedPlain pcm.Line
+	var aux uint32
 	for i := 0; i < 500; i++ {
 		var data pcm.Line
 		for w := range data {
 			data[w] = next()
 		}
-		img := c.Encode(11, data, storedCoded)
+		img := c.Encode(&aux, data, storedCoded)
 		codedVictims += count(storedCoded, img)
 		storedCoded = img
 		plainVictims += count(storedPlain, data)
@@ -178,26 +180,16 @@ func TestEdges(t *testing.T) {
 	}
 }
 
-func TestForget(t *testing.T) {
-	c := NewCodec()
-	var data, stored pcm.Line
-	data[0] = ^uint64(0) // encourage inversion somewhere
-	c.Encode(5, data, stored)
-	c.Forget(5)
-	if c.AuxBits(5) != 0 {
-		t.Fatal("Forget must drop aux state")
-	}
-}
-
 func TestStatsProgress(t *testing.T) {
 	c := NewCodec()
 	var stored pcm.Line
+	var aux uint32
 	for i := 0; i < 10; i++ {
 		var data pcm.Line
 		for w := range data {
 			data[w] = uint64(i*7+w) * 0x123456789
 		}
-		stored = c.Encode(1, data, stored)
+		stored = c.Encode(&aux, data, stored)
 	}
 	if c.Stats.Encodes != 10 {
 		t.Fatalf("Encodes = %d", c.Stats.Encodes)

@@ -2,16 +2,16 @@ package din
 
 import (
 	"fmt"
-	"slices"
 
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/snap"
 )
 
-// EncodeState serializes the codec's counters and per-line coding bits in
-// ascending address order. Nil-safe: the identity form encodes as absent,
-// so a scheme with encoding disabled round-trips through a checkpoint.
-func (c *Codec) EncodeState(e *snap.Encoder) {
+// EncodeState serializes the codec's counters and the polarity words of the
+// lines it coded (aux, ascending address order, supplied by the owner of
+// the words). Nil-safe: the identity form encodes as absent, so a scheme
+// with encoding disabled round-trips through a checkpoint.
+func (c *Codec) EncodeState(e *snap.Encoder, aux []pcm.LineAux) {
 	e.Begin("din.codec")
 	e.Bool(c != nil)
 	if c != nil {
@@ -19,28 +19,31 @@ func (c *Codec) EncodeState(e *snap.Encoder) {
 		e.U64(c.Stats.GroupsInverted)
 		e.U64(c.Stats.VulnerableCells)
 		e.U64(c.Stats.BitsSaved)
-		encodeAux(e, c.aux)
+		pcm.EncodeAux(e, aux)
 	}
 	e.End()
 }
 
-// DecodeState restores state written by EncodeState. The receiver's
-// presence (nil or not, fixed by the scheme) must match the checkpoint's.
-func (c *Codec) DecodeState(d *snap.Decoder) error {
+// DecodeState restores state written by EncodeState and returns the
+// polarity words for the caller to install; lines is the device's line
+// count the words are checked against. The receiver's presence (nil or
+// not, fixed by the scheme) must match the checkpoint's.
+func (c *Codec) DecodeState(d *snap.Decoder, lines int) ([]pcm.LineAux, error) {
 	d.Begin("din.codec")
 	present := d.Bool()
 	if err := checkPresence(d, "din", present, c != nil); err != nil {
-		return err
+		return nil, err
 	}
+	var aux []pcm.LineAux
 	if present {
 		c.Stats.Encodes = d.U64()
 		c.Stats.GroupsInverted = d.U64()
 		c.Stats.VulnerableCells = d.U64()
 		c.Stats.BitsSaved = d.U64()
-		c.aux = decodeAux(d)
+		aux = pcm.DecodeAux(d, lines)
 	}
 	d.End()
-	return d.Err()
+	return aux, d.Err()
 }
 
 // checkPresence verifies the checkpoint and the running scheme agree on
@@ -54,29 +57,4 @@ func checkPresence(d *snap.Decoder, name string, got, want bool) error {
 		return fmt.Errorf("%s: checkpoint codec presence %t does not match this run's %t", name, got, want)
 	}
 	return nil
-}
-
-// encodeAux writes a per-line aux-bit map deterministically; shared with
-// the fnw codec's state encoding via identical layout.
-func encodeAux(e *snap.Encoder, aux map[pcm.LineAddr]uint32) {
-	addrs := make([]pcm.LineAddr, 0, len(aux))
-	for a := range aux {
-		addrs = append(addrs, a)
-	}
-	slices.Sort(addrs)
-	e.Uvarint(uint64(len(addrs)))
-	for _, a := range addrs {
-		e.U64(uint64(a))
-		e.Uvarint(uint64(aux[a]))
-	}
-}
-
-func decodeAux(d *snap.Decoder) map[pcm.LineAddr]uint32 {
-	n := d.Uvarint()
-	aux := make(map[pcm.LineAddr]uint32, n)
-	for i := uint64(0); i < n && d.Err() == nil; i++ {
-		a := pcm.LineAddr(d.U64())
-		aux[a] = uint32(d.Uvarint())
-	}
-	return aux
 }

@@ -22,6 +22,7 @@ package ecp
 
 import (
 	"fmt"
+	"math"
 
 	"sdpcm/internal/metrics"
 	"sdpcm/internal/pcm"
@@ -58,21 +59,35 @@ func (s *Stats) Add(o Stats) {
 	s.ECPBitWrites += o.ECPBitWrites
 }
 
-// lineState is the per-line entry bookkeeping. WD entries are kept as an
-// ordered slice of cell indices; hard errors are abstract (only their count
-// matters to entry pressure — their addresses never change).
+// lineState is one line's entry bookkeeping: a record in the table's slab,
+// found through the line's pcm.Side.ECP word. Records are pointer-free, so
+// the slab costs the garbage collector nothing to scan. WD entries live in
+// the table's parallel wd slab, stride entries per record, in insertion
+// order; hard errors are abstract (only their count matters to entry
+// pressure — their addresses never change).
 type lineState struct {
-	hard int
-	wd   []uint16
-	// seen holds every cell index ever recorded on this line. The ECP chip
+	addr pcm.LineAddr
+	hard int32
+	nwd  int32
+	// seen marks every cell index ever recorded on this line. The ECP chip
 	// uses differential write too: re-recording a pointer whose bits are
 	// still in the (invalidated) entry from an earlier round only rewrites
 	// the valid bit, not the full 10-bit entry.
-	seen []uint16
+	seen pcm.Mask
 }
 
-// Table is the ECP state for one DIMM: N entries per line, sparse over the
-// address space.
+// Slab geometry: records are handed out of fixed-size blocks, so growing
+// the table never copies (or transiently doubles) the records it has.
+const (
+	blockShift   = 8
+	blockRecords = 1 << blockShift
+	blockMask    = blockRecords - 1
+)
+
+// Table is the ECP state for one DIMM: N entries per line. A line's record
+// is created on first touch and found through the side word the device
+// keeps beside the line's cells, so lookups are array indexing, not
+// hashing.
 type Table struct {
 	// N is the number of entries per line (ECP-N). N == 0 disables ECP:
 	// every record attempt overflows, degenerating to basic VnC.
@@ -86,7 +101,11 @@ type Table struct {
 
 	Stats Stats
 
-	lines map[pcm.LineAddr]*lineState
+	dev    *pcm.Device
+	stride int           // wd slab entries per record: min(N, LineBits)
+	recs   [][]lineState // record blocks
+	wds    [][]uint16    // wd blocks, stride entries per record
+	n      int           // records in use
 
 	// scratch backs RecordWD's dedup pass; reused across calls so the
 	// steady-state record path allocates nothing. RecordWD is not reentrant.
@@ -98,31 +117,60 @@ type Table struct {
 	parkOcc, flushOcc *metrics.Histogram
 }
 
-// New creates an ECP-N table. N must be non-negative.
-func New(n int) (*Table, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("ecp: negative entry count %d", n)
+// New creates an ECP-N table for the lines of dev. N must be non-negative
+// and fit an int32 (records store entry counts in 32 bits).
+// Every line a table touches must be served by this table alone (the
+// controller owning the line's bank).
+func New(n int, dev *pcm.Device) (*Table, error) {
+	if n < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("ecp: entry count %d out of range", n)
 	}
-	return &Table{N: n, lines: make(map[pcm.LineAddr]*lineState)}, nil
+	if dev == nil {
+		return nil, fmt.Errorf("ecp: nil device")
+	}
+	// A line has LineBits distinct cells, so no more WD entries than that
+	// can ever be occupied.
+	return &Table{N: n, dev: dev, stride: min(n, pcm.LineBits)}, nil
 }
 
-func (t *Table) state(a pcm.LineAddr) *lineState {
-	s := t.lines[a]
-	if s == nil {
-		s = &lineState{}
-		if t.HardFn != nil {
-			h := t.HardFn(a)
-			if h < 0 {
-				h = 0
-			}
-			if h > t.N {
-				h = t.N
-			}
-			s.hard = h
-		}
-		t.lines[a] = s
+// record returns the record with slot index i and its full wd stride.
+func (t *Table) record(i uint32) (*lineState, []uint16) {
+	b, o := i>>blockShift, int(i&blockMask)
+	return &t.recs[b][o], t.wds[b][o*t.stride : (o+1)*t.stride]
+}
+
+// lookup returns a line's record without creating one.
+func (t *Table) lookup(a pcm.LineAddr) (*lineState, []uint16) {
+	if slot := t.dev.PeekSide(a).ECP; slot != 0 {
+		return t.record(slot - 1)
 	}
-	return s
+	return nil, nil
+}
+
+// state returns a line's record, creating it on first touch.
+func (t *Table) state(a pcm.LineAddr) (*lineState, []uint16) {
+	side := t.dev.Side(a)
+	if side.ECP == 0 {
+		hard := 0
+		if t.HardFn != nil {
+			hard = min(max(t.HardFn(a), 0), t.N)
+		}
+		side.ECP = t.add(a, hard) + 1
+	}
+	return t.record(side.ECP - 1)
+}
+
+// add appends a fresh record and returns its slot index.
+func (t *Table) add(a pcm.LineAddr, hard int) uint32 {
+	i := t.n
+	if i>>blockShift == len(t.recs) {
+		t.recs = append(t.recs, make([]lineState, blockRecords))
+		t.wds = append(t.wds, make([]uint16, blockRecords*t.stride))
+	}
+	t.n++
+	st, _ := t.record(uint32(i))
+	*st = lineState{addr: a, hard: int32(hard)}
+	return uint32(i)
 }
 
 // Instrument attaches occupancy histograms to the table. A nil registry
@@ -138,7 +186,8 @@ func (t *Table) Instrument(reg *metrics.Registry) {
 
 // HardErrors returns the number of entries consumed by hard errors on a line.
 func (t *Table) HardErrors(a pcm.LineAddr) int {
-	return t.state(a).hard
+	s, _ := t.state(a)
+	return int(s.hard)
 }
 
 // SetHardErrors pins n entries of the line for hard errors (clamped to
@@ -147,23 +196,16 @@ func (t *Table) HardErrors(a pcm.LineAddr) int {
 // correcting the array if it cares (lifetime experiments do not, they only
 // model entry pressure).
 func (t *Table) SetHardErrors(a pcm.LineAddr, n int) {
-	if n < 0 {
-		n = 0
-	}
-	if n > t.N {
-		n = t.N
-	}
-	s := t.state(a)
-	s.hard = n
-	if free := t.N - s.hard; len(s.wd) > free {
-		s.wd = s.wd[:free]
-	}
+	n = min(max(n, 0), t.N)
+	s, _ := t.state(a)
+	s.hard = int32(n)
+	s.nwd = min(s.nwd, int32(t.N-n))
 }
 
 // Recorded returns the total occupied entries (hard + WD) of a line.
 func (t *Table) Recorded(a pcm.LineAddr) int {
-	s := t.state(a)
-	return s.hard + len(s.wd)
+	s, _ := t.state(a)
+	return int(s.hard + s.nwd)
 }
 
 // Free returns the number of unoccupied entries of a line.
@@ -172,12 +214,12 @@ func (t *Table) Free(a pcm.LineAddr) int { return t.N - t.Recorded(a) }
 // WDBits returns the cell indices of the line's recorded WD errors,
 // ascending insertion order. The slice is a copy.
 func (t *Table) WDBits(a pcm.LineAddr) []int {
-	s := t.lines[a]
-	if s == nil || len(s.wd) == 0 {
+	s, wd := t.lookup(a)
+	if s == nil || s.nwd == 0 {
 		return nil
 	}
-	out := make([]int, len(s.wd))
-	for i, b := range s.wd {
+	out := make([]int, s.nwd)
+	for i, b := range wd[:s.nwd] {
 		out[i] = int(b)
 	}
 	return out
@@ -192,13 +234,13 @@ func (t *Table) RecordWD(a pcm.LineAddr, cells []int) (ok bool) {
 	if len(cells) == 0 {
 		return true
 	}
-	s := t.state(a)
+	s, wd := t.state(a)
 	fresh := t.scratch[:0]
 	for _, c := range cells {
 		if c < 0 || c >= pcm.LineBits {
 			panic(fmt.Sprintf("ecp: cell index %d out of range", c))
 		}
-		if s.has(uint16(c)) || containsU16(fresh, uint16(c)) {
+		if containsU16(wd[:s.nwd], uint16(c)) || containsU16(fresh, uint16(c)) {
 			t.Stats.WDDuplicates++
 			continue
 		}
@@ -208,24 +250,22 @@ func (t *Table) RecordWD(a pcm.LineAddr, cells []int) (ok bool) {
 	if len(fresh) == 0 {
 		return true
 	}
-	if s.hard+len(s.wd)+len(fresh) > t.N {
+	if int(s.hard+s.nwd)+len(fresh) > t.N {
 		t.Stats.Overflows++
 		return false
 	}
-	s.wd = append(s.wd, fresh...)
+	s.nwd += int32(copy(wd[s.nwd:], fresh))
 	t.Stats.WDRecorded += uint64(len(fresh))
-	t.parkOcc.Observe(uint64(s.hard + len(s.wd)))
+	t.parkOcc.Observe(uint64(s.hard + s.nwd))
 	for _, c := range fresh {
-		if containsU16(s.seen, c) {
+		if s.seen.Bit(int(c)) != 0 {
 			// Pointer bits unchanged from a previous round: only the valid
 			// bit flips (differential write in the ECP chip).
 			t.Stats.ECPBitWrites++
 			continue
 		}
 		t.Stats.ECPBitWrites += BitsPerEntry
-		if len(s.seen) < pcm.LineBits {
-			s.seen = append(s.seen, c)
-		}
+		s.seen.SetBit(int(c))
 	}
 	return true
 }
@@ -236,15 +276,15 @@ func (t *Table) RecordWD(a pcm.LineAddr, cells []int) (ok bool) {
 // superseded them (§4.2 "a normal write operation clears the accumulated WD
 // errors in ECP").
 func (t *Table) ClearWD(a pcm.LineAddr, byCorrection bool) int {
-	s := t.lines[a]
-	if s == nil || len(s.wd) == 0 {
+	s, _ := t.lookup(a)
+	if s == nil || s.nwd == 0 {
 		return 0
 	}
-	n := len(s.wd)
-	s.wd = s.wd[:0]
+	n := int(s.nwd)
+	s.nwd = 0
 	if byCorrection {
 		t.Stats.ClearedByCorrect += uint64(n)
-		t.flushOcc.Observe(uint64(s.hard + n))
+		t.flushOcc.Observe(uint64(int(s.hard) + n))
 	} else {
 		t.Stats.ClearedByWrite += uint64(n)
 	}
@@ -257,8 +297,8 @@ func (t *Table) ClearWD(a pcm.LineAddr, byCorrection bool) int {
 // RESET to exactly these cells (forcing them to '0') heals the line.
 func (t *Table) CorrectionMask(a pcm.LineAddr) pcm.Mask {
 	var m pcm.Mask
-	if s := t.lines[a]; s != nil {
-		for _, b := range s.wd {
+	if s, wd := t.lookup(a); s != nil {
+		for _, b := range wd[:s.nwd] {
 			m.SetBit(int(b))
 		}
 	}
@@ -269,17 +309,15 @@ func (t *Table) CorrectionMask(a pcm.LineAddr) pcm.Mask {
 // recorded WD cell is forced to its true value '0'. Hard-error cells are
 // abstract in this model and left untouched.
 func (t *Table) CorrectRead(a pcm.LineAddr, raw pcm.Line) pcm.Line {
-	s := t.lines[a]
-	if s == nil || len(s.wd) == 0 {
+	s, wd := t.lookup(a)
+	if s == nil {
 		return raw
 	}
-	for _, b := range s.wd {
+	for _, b := range wd[:s.nwd] {
 		raw.SetBit(int(b), 0)
 	}
 	return raw
 }
-
-func (s *lineState) has(c uint16) bool { return containsU16(s.wd, c) }
 
 func containsU16(xs []uint16, c uint16) bool {
 	for _, x := range xs {

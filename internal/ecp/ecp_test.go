@@ -9,7 +9,7 @@ import (
 
 func mustNew(t *testing.T, n int) *Table {
 	t.Helper()
-	tab, err := New(n)
+	tab, err := New(n, testDevice(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +17,7 @@ func mustNew(t *testing.T, n int) *Table {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(-1); err == nil {
+	if _, err := New(-1, testDevice(t)); err == nil {
 		t.Fatal("negative N must be rejected")
 	}
 	if tab := mustNew(t, 0); tab.N != 0 {

@@ -11,7 +11,11 @@
 // benchmarks quantify that difference.
 package fnw
 
-import "sdpcm/internal/pcm"
+import (
+	"math/bits"
+
+	"sdpcm/internal/pcm"
+)
 
 // GroupBits matches the DIN codec granularity: one flip bit per 16 cells
 // (6.25% overhead).
@@ -27,34 +31,29 @@ type Stats struct {
 	BitsSaved     uint64 // programmed cells avoided vs identity coding
 }
 
-// Codec is a Flip-N-Write encoder. A nil *Codec is the identity transform.
+// Codec is a Flip-N-Write encoder: a pure transform plus counters. Each
+// line's flip word (bit g set = group g stored inverted) is owned by the
+// caller, which keeps it beside the line's cells (pcm.Side.Aux). A nil
+// *Codec is the identity transform.
 type Codec struct {
 	Stats Stats
-
-	aux map[pcm.LineAddr]uint32 // bit g set = group g stored inverted
 }
 
 // NewCodec returns an enabled codec.
-func NewCodec() *Codec {
-	return &Codec{aux: make(map[pcm.LineAddr]uint32)}
-}
+func NewCodec() *Codec { return &Codec{} }
 
 func groupWordShift(g int) (word int, shift uint) {
 	return g * GroupBits / 64, uint(g * GroupBits % 64)
 }
 
-// Decode maps a stored image back to data.
-func (c *Codec) Decode(a pcm.LineAddr, stored pcm.Line) pcm.Line {
-	if c == nil {
-		return stored
-	}
-	auxBits := c.aux[a]
-	if auxBits == 0 {
+// Decode maps a stored image back to data using the line's flip word.
+func (c *Codec) Decode(aux uint32, stored pcm.Line) pcm.Line {
+	if c == nil || aux == 0 {
 		return stored
 	}
 	out := stored
 	for g := 0; g < GroupsPerLine; g++ {
-		if auxBits&(1<<uint(g)) != 0 {
+		if aux&(1<<uint(g)) != 0 {
 			w, s := groupWordShift(g)
 			out[w] ^= uint64(0xffff) << s
 		}
@@ -62,8 +61,10 @@ func (c *Codec) Decode(a pcm.LineAddr, stored pcm.Line) pcm.Line {
 	return out
 }
 
-// Encode chooses, per group, the polarity that programs fewer cells.
-func (c *Codec) Encode(a pcm.LineAddr, data, stored pcm.Line) pcm.Line {
+// Encode chooses, per group, the polarity that programs fewer cells, and
+// records the choice in *aux. On a nil codec the stored image is the data
+// itself and *aux is left alone.
+func (c *Codec) Encode(aux *uint32, data, stored pcm.Line) pcm.Line {
 	if c == nil {
 		return data
 	}
@@ -73,7 +74,7 @@ func (c *Codec) Encode(a pcm.LineAddr, data, stored pcm.Line) pcm.Line {
 		w, s := groupWordShift(g)
 		oldBits := uint16(stored[w] >> s)
 		plain := uint16(data[w] >> s)
-		dPlain := popcount16(oldBits ^ plain)
+		dPlain := bits.OnesCount16(oldBits ^ plain)
 		dInv := GroupBits - dPlain // distance to the inverted codeword
 		choose := plain
 		if dInv < dPlain {
@@ -84,31 +85,7 @@ func (c *Codec) Encode(a pcm.LineAddr, data, stored pcm.Line) pcm.Line {
 		}
 		out[w] = (out[w] &^ (uint64(0xffff) << s)) | uint64(choose)<<s
 	}
-	c.aux[a] = newAux
+	*aux = newAux
 	c.Stats.Encodes++
 	return out
-}
-
-// Forget drops the codec's aux state for a line.
-func (c *Codec) Forget(a pcm.LineAddr) {
-	if c != nil {
-		delete(c.aux, a)
-	}
-}
-
-// AuxBits exposes a line's current flip word for inspection/testing.
-func (c *Codec) AuxBits(a pcm.LineAddr) uint32 {
-	if c == nil {
-		return 0
-	}
-	return c.aux[a]
-}
-
-func popcount16(x uint16) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

@@ -1,6 +1,7 @@
 package fnw
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -11,9 +12,9 @@ func TestRoundTrip(t *testing.T) {
 	c := NewCodec()
 	if err := quick.Check(func(d, s [8]uint64) bool {
 		data, stored := pcm.Line(d), pcm.Line(s)
-		a := pcm.LineAddr(d[0] % 500)
-		img := c.Encode(a, data, stored)
-		return c.Decode(a, img) == data
+		var aux uint32
+		img := c.Encode(&aux, data, stored)
+		return c.Decode(aux, img) == data
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
@@ -22,13 +23,14 @@ func TestRoundTrip(t *testing.T) {
 func TestSequentialRoundTrip(t *testing.T) {
 	c := NewCodec()
 	var stored pcm.Line
+	var aux uint32
 	for i := 0; i < 40; i++ {
 		var data pcm.Line
 		for w := range data {
 			data[w] = uint64(i)*0x9e3779b97f4a7c15 ^ uint64(w)<<i
 		}
-		stored = c.Encode(9, data, stored)
-		if c.Decode(9, stored) != data {
+		stored = c.Encode(&aux, data, stored)
+		if c.Decode(aux, stored) != data {
 			t.Fatalf("roundtrip failed at write %d", i)
 		}
 	}
@@ -40,12 +42,13 @@ func TestHalvesWorstCaseProgramming(t *testing.T) {
 	c := NewCodec()
 	if err := quick.Check(func(d, s [8]uint64) bool {
 		data, stored := pcm.Line(d), pcm.Line(s)
-		img := c.Encode(2, data, stored)
+		var aux uint32
+		img := c.Encode(&aux, data, stored)
 		reset, set := pcm.DiffMasks(stored, img)
 		changed := reset.Or(set)
 		for g := 0; g < GroupsPerLine; g++ {
 			w, sh := g*GroupBits/64, uint(g*GroupBits%64)
-			n := popcount16(uint16(changed[w] >> sh))
+			n := bits.OnesCount16(uint16(changed[w] >> sh))
 			if n > GroupBits/2 {
 				return false
 			}
@@ -65,12 +68,13 @@ func TestReducesProgrammedCells(t *testing.T) {
 		stored[w] = 0xdeadbeefcafebabe
 	}
 	// Prime the codec state so aux starts at identity.
-	img := c.Encode(1, stored, pcm.Line{})
+	var aux uint32
+	img := c.Encode(&aux, stored, pcm.Line{})
 	var comp pcm.Line
 	for w := range comp {
 		comp[w] = ^stored[w]
 	}
-	img2 := c.Encode(1, comp, img)
+	img2 := c.Encode(&aux, comp, img)
 	reset, set := pcm.DiffMasks(img, img2)
 	if got := reset.PopCount() + set.PopCount(); got != 0 {
 		t.Fatalf("complement write programmed %d cells, want 0", got)
@@ -84,12 +88,12 @@ func TestNilCodecIdentity(t *testing.T) {
 	var c *Codec
 	var d pcm.Line
 	d[0] = 42
-	if c.Encode(1, d, pcm.Line{}) != d || c.Decode(1, d) != d {
+	var aux uint32
+	if c.Encode(&aux, d, pcm.Line{}) != d || c.Decode(aux, d) != d {
 		t.Fatal("nil codec must be identity")
 	}
-	c.Forget(1)
-	if c.AuxBits(1) != 0 {
-		t.Fatal("nil codec aux must be zero")
+	if aux != 0 {
+		t.Fatal("nil codec must not write a flip word")
 	}
 }
 
@@ -100,27 +104,12 @@ func TestStats(t *testing.T) {
 	for w := range data {
 		data[w] = ^uint64(0) // all ones over all zeros: every group flips
 	}
-	c.Encode(3, data, stored)
+	var aux uint32
+	c.Encode(&aux, data, stored)
 	if c.Stats.GroupsFlipped != GroupsPerLine {
 		t.Fatalf("GroupsFlipped = %d, want %d", c.Stats.GroupsFlipped, GroupsPerLine)
 	}
 	if c.Stats.BitsSaved != uint64(pcm.LineBits) {
 		t.Fatalf("BitsSaved = %d, want %d", c.Stats.BitsSaved, pcm.LineBits)
-	}
-}
-
-func TestForget(t *testing.T) {
-	c := NewCodec()
-	var data pcm.Line
-	for w := range data {
-		data[w] = ^uint64(0)
-	}
-	c.Encode(5, data, pcm.Line{})
-	if c.AuxBits(5) == 0 {
-		t.Fatal("expected flipped groups")
-	}
-	c.Forget(5)
-	if c.AuxBits(5) != 0 {
-		t.Fatal("Forget must drop aux state")
 	}
 }

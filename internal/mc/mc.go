@@ -192,13 +192,14 @@ func (s *Stats) Add(o Stats) {
 	s.ReadWaitSum += o.ReadWaitSum
 }
 
-// Encoder is the word-line codec contract: a stored-image transform with
-// per-line state. *din.Codec (including its nil identity form) and
+// Encoder is the word-line codec contract: a stored-image transform driven
+// by a per-line polarity word. The controller owns the words and keeps each
+// beside its line's cells (pcm.Side.Aux); Encode reads and rewrites the
+// word, Decode applies it. *din.Codec (including its nil identity form) and
 // *fnw.Codec implement it.
 type Encoder interface {
-	Encode(a pcm.LineAddr, data, stored pcm.Line) pcm.Line
-	Decode(a pcm.LineAddr, stored pcm.Line) pcm.Line
-	Forget(a pcm.LineAddr)
+	Encode(aux *uint32, data, stored pcm.Line) pcm.Line
+	Decode(aux uint32, stored pcm.Line) pcm.Line
 }
 
 // RegionResolver is the hardware-side interpretation of the TLB tag of
@@ -255,7 +256,7 @@ type Controller struct {
 // disturbance engine.
 func New(cfg Config, dev *pcm.Device, region RegionResolver, rnd *rng.Rand) (*Controller, error) {
 	cfg = cfg.normalized()
-	table, err := ecp.New(cfg.ECPEntries)
+	table, err := ecp.New(cfg.ECPEntries, dev)
 	if err != nil {
 		return nil, err
 	}
@@ -333,7 +334,7 @@ func (c *Controller) PeekData(a pcm.LineAddr) pcm.Line {
 	if c.readOverride != nil {
 		line = c.readOverride.OverrideRead(a, line)
 	}
-	return c.codec.Decode(a, line)
+	return c.codec.Decode(c.dev.PeekSide(a).Aux, line)
 }
 
 // LatestData returns the freshest logical content of a line, checking the
@@ -342,8 +343,8 @@ func (c *Controller) PeekData(a pcm.LineAddr) pcm.Line {
 // never lost by a rotation.
 func (c *Controller) LatestData(a pcm.LineAddr) pcm.Line {
 	b := &c.banks[c.geo.Locate(a).Bank]
-	if e := b.findEntry(a); e != nil {
-		return e.data
+	if i := b.find(a); i >= 0 {
+		return b.wq[i].data
 	}
 	return c.PeekData(a)
 }

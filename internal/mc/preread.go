@@ -62,8 +62,20 @@ func (idleSlotPreread) retire(c *Controller, b *bank, t uint64) {
 
 // issue uses bank idle time at `now` to perform pending pre-write reads for
 // queued entries (§4.3).
+//
+// A pass only makes progress by forwarding from a queued neighbour, which
+// needs a write to have joined the queue since the last pass, or by a
+// device read, which needs bank idle time: an idle pass serves every
+// pending preread, a busy one leaves the unforwardable ones blocked. So
+// unless a write joined or a preread was canceled (prStale), the pass is
+// skipped when the bank is busy or nothing is blocked — it would change
+// nothing — and the queue is not rescanned on every catch-up.
 func (s idleSlotPreread) issue(c *Controller, b *bank, now uint64) {
 	idle := b.freeAt <= now && !b.draining
+	if !b.prStale && !(idle && b.prBlocked) {
+		return
+	}
+	b.prStale, b.prBlocked = false, false
 	for _, e := range b.wq {
 		if e.verifyTop && !e.prTop {
 			idle = s.issueOne(c, b, e, true, now, idle)
@@ -86,11 +98,11 @@ func (idleSlotPreread) issueOne(c *Controller, b *bank, e *writeEntry, top bool,
 	// Forward from the queue when the neighbour line has a pending write:
 	// by the time this entry executes, the queue (FIFO) will have written
 	// it, so the buffered data is the authoritative old content (§4.3).
-	if other := b.findEntry(neighbour); other != nil {
+	if i := b.find(neighbour); i >= 0 {
 		if top {
-			e.prTop, e.bufTop = true, other.data
+			e.prTop, e.bufTop = true, b.wq[i].data
 		} else {
-			e.prBelow, e.bufBelow = true, other.data
+			e.prBelow, e.bufBelow = true, b.wq[i].data
 		}
 		c.Stats.PreReadsForwarded++
 		if c.tr != nil {
@@ -99,6 +111,7 @@ func (idleSlotPreread) issueOne(c *Controller, b *bank, e *writeEntry, top bool,
 		return idle
 	}
 	if !idle {
+		b.prBlocked = true
 		return false
 	}
 	start := max(b.freeAt, now)
@@ -133,6 +146,7 @@ func (idleSlotPreread) cancel(c *Controller, b *bank, t uint64) {
 			continue
 		}
 		c.Stats.PreReadsCanceled++
+		b.prStale = true
 		if p.start < rollback {
 			rollback = p.start
 		}

@@ -60,20 +60,55 @@ type writeEntry struct {
 
 // bank is one PCM bank's scheduling state.
 type bank struct {
-	freeAt   uint64
-	wq       []*writeEntry
+	freeAt uint64
+	wq     []*writeEntry
+	// addrs is the queue's address index: addrs[i] == wq[i].addr, kept in
+	// one contiguous array so lookups (forwarding, coalescing, PreRead's
+	// neighbour probes) scan plain words instead of chasing entry pointers.
+	// Only push, popFront and DecodeState change the queue.
+	addrs    []pcm.LineAddr
 	draining bool
 	prereads []prOp
+	// PreRead pass bookkeeping (preread.go): prStale is set when a write
+	// joins the queue or a preread is canceled, prBlocked when the last
+	// pass left a preread waiting for bank idle time. With neither, a pass
+	// cannot make progress and is skipped.
+	prStale, prBlocked bool
+	// coded is set once this controller has encoded a line of the bank:
+	// the bank's polarity words in the device are this controller's to
+	// checkpoint.
+	coded bool
 }
 
-// findEntry locates a queued write to addr.
-func (b *bank) findEntry(addr pcm.LineAddr) *writeEntry {
-	for _, e := range b.wq {
-		if e.addr == addr {
-			return e
+// find returns the queue position of the write to addr, or -1.
+func (b *bank) find(addr pcm.LineAddr) int {
+	for i, a := range b.addrs {
+		if a == addr {
+			return i
 		}
 	}
-	return nil
+	return -1
+}
+
+// push appends an entry to the queue.
+func (b *bank) push(e *writeEntry) {
+	b.wq = append(b.wq, e)
+	b.addrs = append(b.addrs, e.addr)
+	b.prStale = true
+}
+
+// popFront removes and returns the oldest entry. The queue shifts down
+// instead of advancing the slices, so the backing arrays keep their
+// capacity and never reallocate after warm-up; n <= WriteQueueCap word
+// moves per op are noise next to the write op itself.
+func (b *bank) popFront() *writeEntry {
+	e := b.wq[0]
+	n := copy(b.wq, b.wq[1:])
+	b.wq[n] = nil
+	b.wq = b.wq[:n]
+	copy(b.addrs, b.addrs[1:])
+	b.addrs = b.addrs[:n]
+	return e
 }
 
 func (b *bank) findEntryByID(id uint64) *writeEntry {
@@ -112,13 +147,7 @@ func (c *Controller) catchUp(b *bank, t uint64) {
 // retired entry returns to the controller's pool: with queues bounded by
 // WriteQueueCap the steady-state write path allocates nothing.
 func (c *Controller) executeNext(b *bank, burst bool) {
-	e := b.wq[0]
-	// Shift down instead of advancing the slice: the backing array keeps its
-	// capacity, so the queue never reallocates after warm-up. n <= wq cap
-	// pointer moves per op — noise next to the write op itself.
-	n := copy(b.wq, b.wq[1:])
-	b.wq[n] = nil
-	b.wq = b.wq[:n]
+	e := b.popFront()
 	b.freeAt = max(b.freeAt, e.enqueuedAt)
 	if c.tr != nil {
 		var bf uint64
@@ -144,9 +173,9 @@ func (c *Controller) Write(now uint64, addr pcm.LineAddr, data pcm.Line) {
 	loc := c.geo.Locate(addr)
 	b := &c.banks[loc.Bank]
 	c.catchUp(b, now)
-	if e := b.findEntry(addr); e != nil {
+	if i := b.find(addr); i >= 0 {
 		// Coalesce: update in place; pre-read state is unaffected.
-		e.data = data
+		b.wq[i].data = data
 		c.Stats.Coalesced++
 		return
 	}
@@ -160,7 +189,7 @@ func (c *Controller) Write(now uint64, addr pcm.LineAddr, data pcm.Line) {
 	}
 	e := c.newEntry(addr, data)
 	e.enqueuedAt = now
-	b.wq = append(b.wq, e)
+	b.push(e)
 	c.queueDepth.Observe(uint64(len(b.wq)))
 	if c.tr != nil {
 		c.tr.Emit(now, metrics.EvQueueEnqueue, uint64(addr), uint64(len(b.wq)), 0)

@@ -1,7 +1,9 @@
 package mc
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/snap"
@@ -20,9 +22,11 @@ type PolicyState interface {
 
 // codecState is the word-line codec's optional checkpoint surface;
 // *din.Codec (including the nil identity form) and *fnw.Codec implement it.
+// The controller owns the polarity words: it hands the codec its lines'
+// words to encode, and installs the words the codec decodes.
 type codecState interface {
-	EncodeState(e *snap.Encoder)
-	DecodeState(d *snap.Decoder) error
+	EncodeState(e *snap.Encoder, aux []pcm.LineAux)
+	DecodeState(d *snap.Decoder, lines int) ([]pcm.LineAux, error)
 }
 
 // CheckpointSupported reports whether this controller's configuration can
@@ -144,7 +148,7 @@ func (c *Controller) EncodeState(e *snap.Encoder) {
 	c.engine.EncodeState(e)
 	if cs, ok := c.codec.(codecState); ok {
 		e.Bool(true)
-		cs.EncodeState(e)
+		cs.EncodeState(e, c.codedLines())
 	} else {
 		e.Bool(false)
 	}
@@ -157,8 +161,25 @@ func (c *Controller) EncodeState(e *snap.Encoder) {
 	e.End()
 }
 
+// codedLines collects the nonzero polarity words of the banks this
+// controller has encoded lines in, in ascending address order.
+func (c *Controller) codedLines() []pcm.LineAux {
+	var aux []pcm.LineAux
+	for i := range c.banks {
+		if c.banks[i].coded {
+			c.dev.VisitAux(i, func(a pcm.LineAddr, w uint32) {
+				aux = append(aux, pcm.LineAux{Addr: a, Aux: w})
+			})
+		}
+	}
+	slices.SortFunc(aux, func(x, y pcm.LineAux) int { return cmp.Compare(x.Addr, y.Addr) })
+	return aux
+}
+
 // DecodeState restores state written by EncodeState into a controller
-// freshly constructed with the same Config.
+// freshly constructed with the same Config, after the device's own state.
+// Queue addresses are range-checked against the device and queue lengths
+// against the configured capacity (*snap.RangeError otherwise).
 func (c *Controller) DecodeState(d *snap.Decoder) error {
 	d.Begin("mc.controller")
 	decodeMCStats(d, &c.Stats)
@@ -168,10 +189,13 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 		b.freeAt = d.U64()
 		b.draining = d.Bool()
 		n := d.Uvarint()
+		if n > uint64(c.cfg.WriteQueueCap) {
+			d.Reject("mc: bank %d queue holds %d writes, capacity %d", i, n, c.cfg.WriteQueueCap)
+		}
 		if d.Err() != nil {
 			return d.Err()
 		}
-		b.wq = b.wq[:0]
+		b.wq, b.addrs = b.wq[:0], b.addrs[:0]
 		for j := uint64(0); j < n && d.Err() == nil; j++ {
 			w := &writeEntry{}
 			w.id = d.U64()
@@ -188,7 +212,10 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 			w.prBelow = d.Bool()
 			w.bufTop = pcm.DecodeLine(d)
 			w.bufBelow = pcm.DecodeLine(d)
-			b.wq = append(b.wq, w)
+			if lines := pcm.LineAddr(c.dev.Lines()); w.addr >= lines || w.top >= lines || w.below >= lines {
+				d.Reject("mc: queued write to line %d (neighbours %d, %d) outside the %d-line device", w.addr, w.top, w.below, lines)
+			}
+			b.push(w)
 		}
 		m := d.Uvarint()
 		if d.Err() != nil {
@@ -216,8 +243,15 @@ func (c *Controller) DecodeState(d *snap.Decoder) error {
 		return fmt.Errorf("mc: checkpoint codec-state presence %t does not match this run's codec %T", hasCodec, c.codec)
 	}
 	if hasCodec && d.Err() == nil {
-		if err := cs.DecodeState(d); err != nil {
+		aux, err := cs.DecodeState(d, c.dev.Lines())
+		if err != nil {
 			return err
+		}
+		for _, x := range aux {
+			if x.Aux != 0 {
+				c.dev.Side(x.Addr).Aux = x.Aux
+				c.banks[c.geo.Locate(x.Addr).Bank].coded = true
+			}
 		}
 	}
 	hasPolicy := d.Bool()

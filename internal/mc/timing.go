@@ -16,7 +16,8 @@ func (c *Controller) Read(now uint64, addr pcm.LineAddr) (uint64, pcm.Line) {
 	loc := c.geo.Locate(addr)
 	b := &c.banks[loc.Bank]
 	// Write-queue forwarding: the freshest value lives in the queue.
-	if e := b.findEntry(addr); e != nil {
+	if i := b.find(addr); i >= 0 {
+		e := b.wq[i]
 		c.Stats.ForwardedReads++
 		done := now + uint64(c.cfg.ForwardCycles)
 		c.Stats.ReadLatencySum += uint64(c.cfg.ForwardCycles)
@@ -95,7 +96,8 @@ func (c *Controller) executeWrite(b *bank, e *writeEntry) int {
 		c.writeObserver.ObserveWrite(e.addr)
 	}
 	old := c.dev.Peek(e.addr)
-	img := c.codec.Encode(e.addr, e.data, old)
+	img := c.codec.Encode(&c.dev.Side(e.addr).Aux, e.data, old)
+	b.coded = true
 	res := c.dev.Write(e.addr, img, pcm.NormalWrite)
 	out := c.engine.OnWrite(c.dev, e.addr, old, img, res.Reset, res.Set)
 	prog := res.Cycles

@@ -171,3 +171,9 @@ func (g Geometry) bankLocal(a LineAddr) (bank, local int) {
 	local = int(page>>g.shift)*LinesPerPage + int(uint64(a)%LinesPerPage)
 	return
 }
+
+// globalAddr inverts bankLocal.
+func (g Geometry) globalAddr(bank, local int) LineAddr {
+	row, slot := uint64(local/LinesPerPage), uint64(local%LinesPerPage)
+	return LineAddr((row<<g.shift|uint64(bank))*LinesPerPage + slot)
+}

@@ -3,6 +3,7 @@ package pcm
 import (
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // Timing holds the PCM access latencies of Table 2, in CPU cycles (4 GHz:
@@ -98,6 +99,15 @@ const (
 	chunkMask  = chunkLines - 1
 )
 
+// Side is the controller-side state of one line, kept beside its cells in
+// the line's chunk rather than in a table keyed by address: the word-line
+// codec's polarity word and the line's ECP record. Both are plain words, so
+// chunks stay pointer-free and side state costs no allocation of its own.
+type Side struct {
+	Aux uint32 // word-line codec polarity bits (bit g set = group g inverted)
+	ECP uint32 // 1 + the line's record index in its ECP table; 0 = none
+}
+
 // lineChunk is one dense block of bank-local line storage. Lines are filled
 // with their background pattern on first touch, tracked per line in the
 // resident bitmap — materializing a chunk is a single zeroed allocation, so
@@ -106,7 +116,10 @@ type lineChunk struct {
 	// resident bit i set: lines[i] holds device content. Clear: the line is
 	// still untouched and reads as its background pattern.
 	resident uint64
-	lines    [chunkLines]Line
+	// side sits beside the residency bitmap every access reads, so a
+	// line's side word is usually in a cache line already loaded.
+	side  [chunkLines]Side
+	lines [chunkLines]Line
 }
 
 // Device is one PCM DIMM's worth of data cell arrays. Storage is a per-bank
@@ -115,7 +128,9 @@ type lineChunk struct {
 // first write or disturbance. Untouched chunks stay nil — Peek computes the
 // background lazily — so disturbance vulnerability of untouched neighbours
 // is modelled without materialising the full capacity, while every access to
-// touched storage is plain array indexing with zero allocation.
+// touched storage is plain array indexing with zero allocation. Each chunk
+// also carries its lines' controller side state (Side), so per-line codec
+// and ECP state needs no table of its own.
 //
 // Bank-local layout: line a lives in bank Locate(a).Bank at local index
 // row*LinesPerPage+slot, so physically adjacent rows (the bit-line WD
@@ -265,8 +280,15 @@ func (d *Device) checkRange(a LineAddr) {
 
 // slabChunks is how many chunks one arena slab holds. Chunks live for the
 // device's lifetime, so handing them out of a bulk-zeroed slab replaces one
-// 4 KB allocator round trip per chunk with one per slabChunks chunks.
-const slabChunks = 32
+// allocator round trip per chunk with one per slabChunks chunks. A slab is
+// as many chunks as fit in slabBytes, five of the runtime's 8 KB pages: a
+// large allocation is rounded up to whole pages, so a slab that stops short
+// of its last page wastes the rest, and one that spills a few bytes into a
+// page makes the whole OS page resident.
+const (
+	slabBytes  = 40 << 10
+	slabChunks = slabBytes / int(unsafe.Sizeof(lineChunk{}))
+)
 
 // materializeChunk installs a fresh zeroed chunk for the given bank-local
 // chunk index and returns it.
@@ -312,6 +334,47 @@ func (d *Device) Peek(a LineAddr) Line {
 		}
 	}
 	return d.background(a)
+}
+
+// Side returns a pointer to a line's side state, materializing its chunk
+// (not its cell content) on first touch. The pointer stays valid until
+// DecodeState replaces the device's storage. It panics on out-of-range
+// addresses.
+func (d *Device) Side(a LineAddr) *Side {
+	d.checkRange(a)
+	bank, local := d.geo.bankLocal(a)
+	ch := d.banks[bank][local>>chunkShift]
+	if ch == nil {
+		ch = d.materializeChunk(bank, local>>chunkShift)
+	}
+	return &ch.side[local&chunkMask]
+}
+
+// PeekSide returns a line's side state without materializing storage: a
+// line in an untouched chunk has the zero Side. It panics on out-of-range
+// addresses.
+func (d *Device) PeekSide(a LineAddr) Side {
+	d.checkRange(a)
+	bank, local := d.geo.bankLocal(a)
+	if ch := d.banks[bank][local>>chunkShift]; ch != nil {
+		return ch.side[local&chunkMask]
+	}
+	return Side{}
+}
+
+// VisitAux calls fn for every line of the bank whose polarity word is
+// nonzero, in bank-local order.
+func (d *Device) VisitAux(bank int, fn func(a LineAddr, aux uint32)) {
+	for ci, ch := range d.banks[bank] {
+		if ch == nil {
+			continue
+		}
+		for i, s := range ch.side {
+			if s.Aux != 0 {
+				fn(d.geo.globalAddr(bank, ci<<chunkShift|i), s.Aux)
+			}
+		}
+	}
 }
 
 // Read returns a line's content and counts one array read. Timing is the

@@ -44,6 +44,49 @@ func DecodeLine(d *snap.Decoder) Line {
 	return l
 }
 
+// LineAux is one line's word-line codec polarity word in checkpoint form.
+type LineAux struct {
+	Addr LineAddr
+	Aux  uint32
+}
+
+// EncodeAux writes polarity words, in ascending address order, as a count
+// followed by (address, word) pairs: the layout the DIN and Flip-N-Write
+// codec state sections share.
+func EncodeAux(e *snap.Encoder, aux []LineAux) {
+	e.Uvarint(uint64(len(aux)))
+	for _, x := range aux {
+		e.U64(uint64(x.Addr))
+		e.Uvarint(uint64(x.Aux))
+	}
+}
+
+// DecodeAux reads polarity words written by EncodeAux for a device of the
+// given line count. Addresses must be strictly ascending and inside the
+// device and words must fit 32 bits; anything else is a *snap.RangeError.
+func DecodeAux(d *snap.Decoder, lines int) []LineAux {
+	n := d.Uvarint()
+	if n > uint64(lines) {
+		d.Reject("%d codec words for a %d-line device", n, lines)
+		return nil
+	}
+	var out []LineAux
+	for i := uint64(0); i < n && d.Err() == nil; i++ {
+		a, w := d.U64(), d.Uvarint()
+		switch {
+		case a >= uint64(lines):
+			d.Reject("codec word for line %d outside the %d-line device", a, lines)
+		case len(out) > 0 && a <= uint64(out[len(out)-1].Addr):
+			d.Reject("codec word for line %d out of address order", a)
+		case w > 1<<32-1:
+			d.Reject("codec word %#x for line %d exceeds 32 bits", w, a)
+		default:
+			out = append(out, LineAux{Addr: LineAddr(a), Aux: uint32(w)})
+		}
+	}
+	return out
+}
+
 // EncodeState serializes the device's mutable state: per-bank counters and
 // every materialized chunk's resident lines. Geometry, timing and the
 // background fill are construction parameters and are not stored — decode

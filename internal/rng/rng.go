@@ -167,7 +167,10 @@ func (r *Rand) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return r.Float64() < p
+	// Float64() < p without the divide: scaling both sides by 2^53 is exact
+	// (the draw is an integer below 2^53, and p*2^53 cannot overflow or
+	// round), so every draw decides exactly as before.
+	return float64(r.Uint64()>>11) < p*(1<<53)
 }
 
 // Perm returns a random permutation of [0,n).

@@ -303,3 +303,35 @@ func BenchmarkBernoulli(b *testing.B) {
 		_ = r.Bernoulli(0.115)
 	}
 }
+
+// TestBernoulliExactScaling pins the divide-free Bernoulli to the
+// definition it replaced, Float64() < p, draw for draw: at the smallest
+// subnormal, 2^-53, 0.5, the largest p below 1, and random p.
+func TestBernoulliExactScaling(t *testing.T) {
+	ps := []float64{math.SmallestNonzeroFloat64, 0x1p-53, 0.5, math.Nextafter(1, 0)}
+	pr := New(99)
+	for i := 0; i < 64; i++ {
+		ps = append(ps, pr.Float64(), pr.Float64()*1e-6)
+	}
+	for _, p := range ps {
+		a, b := New(uint64(p*1e9)+1), New(uint64(p*1e9)+1)
+		for i := 0; i < 20000; i++ {
+			if got, want := a.Bernoulli(p), b.Float64() < p; got != want {
+				t.Fatalf("p=%g draw %d: Bernoulli %t, Float64()<p %t", p, i, got, want)
+			}
+		}
+	}
+	// The scaled comparison agrees with the divided one at the threshold
+	// draws themselves, where rounding would show.
+	for _, p := range ps {
+		k := uint64(p * (1 << 53)) // the integer draws just below/at/above p
+		for _, u := range []uint64{k - 1, k, k + 1} {
+			if u >= 1<<53 {
+				continue
+			}
+			if got, want := float64(u) < p*(1<<53), float64(u)/(1<<53) < p; got != want {
+				t.Fatalf("p=%g draw %d: scaled %t, divided %t", p, u, got, want)
+			}
+		}
+	}
+}

@@ -165,7 +165,7 @@ type tagMirror struct {
 	regionPages int
 	stripPages  int
 	strips      int
-	owner       map[int]alloc.Tag
+	owner       []alloc.Tag // by region number; the zero Tag = unowned
 }
 
 func newTagMirror(a *alloc.Allocator) *tagMirror {
@@ -173,13 +173,13 @@ func newTagMirror(a *alloc.Allocator) *tagMirror {
 		regionPages: a.RegionPages(),
 		stripPages:  a.StripPages(),
 		strips:      a.StripsPerRegion(),
-		owner:       make(map[int]alloc.Tag),
+		owner:       make([]alloc.Tag, a.TotalPages()/a.RegionPages()),
 	}
 }
 
 func (m *tagMirror) RegionTag(p pcm.PageAddr) alloc.Tag {
-	if t, ok := m.owner[int(p)/m.regionPages*m.regionPages]; ok {
-		return t
+	if r := uint64(p) / uint64(m.regionPages); r < uint64(len(m.owner)) && m.owner[r] != (alloc.Tag{}) {
+		return m.owner[r]
 	}
 	return alloc.Tag11
 }
@@ -191,9 +191,8 @@ func (m *tagMirror) StripIndexInRegion(p pcm.PageAddr) int {
 func (m *tagMirror) StripsPerRegion() int { return m.strips }
 
 func (m *tagMirror) apply(regionStart int, t alloc.Tag, present bool) {
-	if present {
-		m.owner[regionStart] = t
-	} else {
-		delete(m.owner, regionStart)
+	if !present {
+		t = alloc.Tag{}
 	}
+	m.owner[regionStart/m.regionPages] = t
 }

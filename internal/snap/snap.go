@@ -44,6 +44,17 @@ func (e *VersionError) Error() string {
 	return fmt.Sprintf("unsupported checkpoint version %d (want %d)", e.Got, e.Want)
 }
 
+// RangeError reports a well-framed value that the state being restored
+// cannot hold: a list longer than its structure allows, an address outside
+// the device, a cell index outside the line. Decoders check such values
+// before sizing anything from them, so a corrupt file fails with this error
+// instead of a panic or an enormous allocation.
+type RangeError struct {
+	Msg string
+}
+
+func (e *RangeError) Error() string { return "snap: " + e.Msg }
+
 // Encoder builds a snapshot byte stream. Methods never fail; malformed use
 // (unbalanced Begin/End) is a programming error caught by Finish.
 type Encoder struct {
@@ -146,6 +157,14 @@ func (d *Decoder) Err() error { return d.err }
 func (d *Decoder) fail(format string, args ...any) {
 	if d.err == nil {
 		d.err = fmt.Errorf("snap: "+format, args...)
+	}
+}
+
+// Reject records a *RangeError as the decoder's sticky error (unless an
+// earlier failure is already recorded); later reads become no-ops.
+func (d *Decoder) Reject(format string, args ...any) {
+	if d.err == nil {
+		d.err = &RangeError{Msg: fmt.Sprintf(format, args...)}
 	}
 }
 

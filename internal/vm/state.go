@@ -2,7 +2,6 @@ package vm
 
 import (
 	"fmt"
-	"slices"
 
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/pcm"
@@ -16,19 +15,13 @@ import (
 func (as *AddressSpace) EncodeState(e *snap.Encoder) {
 	e.Begin("vm.addrspace")
 
-	vpages := make([]uint64, 0, len(as.PT.entries))
-	for v := range as.PT.entries {
-		vpages = append(vpages, v)
-	}
-	slices.Sort(vpages)
-	e.Uvarint(uint64(len(vpages)))
-	for _, v := range vpages {
-		tr := as.PT.entries[v]
+	e.Uvarint(uint64(as.PT.Len()))
+	as.PT.visit(func(v uint64, tr Translation) {
 		e.U64(v)
 		e.U64(uint64(tr.Frame))
 		e.Int(tr.Tag.N)
 		e.Int(tr.Tag.M)
-	}
+	})
 
 	t := as.TLB
 	e.Int(t.sets)
@@ -61,16 +54,33 @@ func (as *AddressSpace) EncodeState(e *snap.Encoder) {
 }
 
 // DecodeState restores state written by EncodeState into an address space
-// freshly constructed with the same tag and chunk size.
+// freshly constructed with the same tag and chunk size. Mapped pages must
+// come in strictly ascending vpage order, number no more than the
+// allocator's physical pages (each maps its own frame) and map frames
+// inside them; pool pages and blocks must lie inside physical memory too.
+// Anything else is a *snap.RangeError.
 func (as *AddressSpace) DecodeState(d *snap.Decoder) error {
 	d.Begin("vm.addrspace")
 
+	pages := uint64(as.allocator.TotalPages())
 	n := d.Uvarint()
-	as.PT = &PageTable{entries: make(map[uint64]Translation, n)}
+	if n > pages {
+		d.Reject("vm: %d mapped pages for %d physical pages", n, pages)
+	}
+	as.PT = NewPageTable()
+	var prev uint64
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		v := d.U64()
 		tr := Translation{Frame: pcm.PageAddr(d.U64()), Tag: alloc.Tag{N: d.Int(), M: d.Int()}}
-		as.PT.entries[v] = tr
+		switch {
+		case i > 0 && v <= prev:
+			d.Reject("vm: vpage %d out of order after %d", v, prev)
+		case uint64(tr.Frame) >= pages:
+			d.Reject("vm: vpage %d maps frame %d outside %d physical pages", v, tr.Frame, pages)
+		default:
+			as.PT.Map(v, tr)
+		}
+		prev = v
 	}
 
 	t := as.TLB
@@ -83,24 +93,41 @@ func (as *AddressSpace) DecodeState(d *snap.Decoder) error {
 		t.data[i] = Translation{Frame: pcm.PageAddr(d.U64()), Tag: alloc.Tag{N: d.Int(), M: d.Int()}}
 		t.valid[i] = d.Bool()
 		t.stamp[i] = d.U64()
+		if t.valid[i] && uint64(t.data[i].Frame) >= pages {
+			d.Reject("vm: TLB entry %d maps frame %d outside %d physical pages", i, t.data[i].Frame, pages)
+		}
 	}
 	t.clock = d.U64()
 	t.Hits = d.U64()
 	t.Misses = d.U64()
 
 	np := d.Uvarint()
-	as.pool = make([]pcm.PageAddr, 0, np)
+	if np > pages {
+		d.Reject("vm: %d pooled pages for %d physical pages", np, pages)
+	}
+	as.pool = nil
 	for i := uint64(0); i < np && d.Err() == nil; i++ {
-		as.pool = append(as.pool, pcm.PageAddr(d.U64()))
+		p := pcm.PageAddr(d.U64())
+		if uint64(p) >= pages {
+			d.Reject("vm: pooled page %d outside %d physical pages", p, pages)
+		}
+		as.pool = append(as.pool, p)
 	}
 	nb := d.Uvarint()
-	as.blocks = make([]alloc.Block, 0, nb)
+	if nb > pages {
+		d.Reject("vm: %d blocks for %d physical pages", nb, pages)
+	}
+	as.blocks = nil
 	for i := uint64(0); i < nb && d.Err() == nil; i++ {
-		as.blocks = append(as.blocks, alloc.Block{
+		b := alloc.Block{
 			Start: pcm.PageAddr(d.U64()),
 			Order: d.Int(),
 			Tag:   alloc.Tag{N: d.Int(), M: d.Int()},
-		})
+		}
+		if uint64(b.Start) >= pages {
+			d.Reject("vm: block at page %d outside %d physical pages", b.Start, pages)
+		}
+		as.blocks = append(as.blocks, b)
 	}
 	as.Faults = d.U64()
 	d.End()

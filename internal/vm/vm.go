@@ -7,7 +7,9 @@
 package vm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/pcm"
@@ -19,29 +21,89 @@ type Translation struct {
 	Tag   alloc.Tag
 }
 
-// PageTable maps a process's virtual pages to physical frames.
+// PageTable maps a process's virtual pages to physical frames. It is a
+// two-level radix table: a directory of leaves, sorted by vpage prefix
+// (vpage >> leafShift), over pointer-free leaves of leafPages translations
+// each. Generator vpages are dense from zero, so once warm directory entry
+// i covers prefix i and a walk is one probe; trace vpages may be sparse
+// anywhere in the 64-bit space and cost a binary search over the
+// directory and one leaf per occupied prefix.
 type PageTable struct {
-	entries map[uint64]Translation
+	dir []ptEntry // ascending prefix
+	n   int       // mapped pages
 }
 
+// Leaf geometry: 16 slots (512 B) per leaf keeps a sparse table — one page
+// per leaf — within a few hundred bytes per mapped page.
+const (
+	leafShift = 4
+	leafPages = 1 << leafShift
+	leafMask  = leafPages - 1
+)
+
+type ptEntry struct {
+	prefix uint64
+	leaf   *ptLeaf
+}
+
+// ptSlot keeps the mapped flag beside its translation, so a walk reads one
+// 32-byte slot.
+type ptSlot struct {
+	tr     Translation
+	mapped bool
+}
+
+type ptLeaf [leafPages]ptSlot
+
 // NewPageTable returns an empty table.
-func NewPageTable() *PageTable {
-	return &PageTable{entries: make(map[uint64]Translation)}
+func NewPageTable() *PageTable { return &PageTable{} }
+
+// find returns the directory position of prefix and whether it is present.
+func (pt *PageTable) find(prefix uint64) (int, bool) {
+	if prefix < uint64(len(pt.dir)) && pt.dir[prefix].prefix == prefix {
+		return int(prefix), true // dense: entry i covers prefix i
+	}
+	return slices.BinarySearchFunc(pt.dir, prefix, func(e ptEntry, p uint64) int { return cmp.Compare(e.prefix, p) })
 }
 
 // Lookup returns the translation of a virtual page.
 func (pt *PageTable) Lookup(vpage uint64) (Translation, bool) {
-	t, ok := pt.entries[vpage]
-	return t, ok
+	i, ok := pt.find(vpage >> leafShift)
+	if !ok {
+		return Translation{}, false
+	}
+	sl := &pt.dir[i].leaf[vpage&leafMask]
+	return sl.tr, sl.mapped
 }
 
 // Map installs a translation.
 func (pt *PageTable) Map(vpage uint64, tr Translation) {
-	pt.entries[vpage] = tr
+	prefix := vpage >> leafShift
+	i, ok := pt.find(prefix)
+	if !ok {
+		pt.dir = slices.Insert(pt.dir, i, ptEntry{prefix: prefix, leaf: &ptLeaf{}})
+	}
+	sl := &pt.dir[i].leaf[vpage&leafMask]
+	if !sl.mapped {
+		sl.mapped = true
+		pt.n++
+	}
+	sl.tr = tr
 }
 
 // Len returns the number of mapped pages.
-func (pt *PageTable) Len() int { return len(pt.entries) }
+func (pt *PageTable) Len() int { return pt.n }
+
+// visit calls fn for every mapped page in ascending vpage order.
+func (pt *PageTable) visit(fn func(vpage uint64, tr Translation)) {
+	for _, e := range pt.dir {
+		for slot, sl := range e.leaf {
+			if sl.mapped {
+				fn(e.prefix<<leafShift|uint64(slot), sl.tr)
+			}
+		}
+	}
+}
 
 // TLB is a small set-associative translation cache. Each entry carries the
 // (n:m) allocator tag so the memory controller receives it with every
