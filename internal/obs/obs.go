@@ -25,6 +25,10 @@ import (
 	"sdpcm/internal/metrics"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle half-open connections cannot pin server goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 // Server serves the live observability endpoints:
 //
 //	/metrics       Prometheus text exposition of the current snapshot
@@ -104,7 +108,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return ln.Addr().String(), nil
 }

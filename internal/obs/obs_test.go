@@ -161,6 +161,9 @@ func TestServerStartClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if s.srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", s.srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
 	code, _, _ := get(t, "http://"+addr+"/progress")
 	if code != http.StatusOK {
 		t.Fatalf("/progress over real listener -> %d", code)

@@ -17,6 +17,14 @@ import (
 	"sdpcm/internal/obs"
 )
 
+// maxJobSpecBytes caps a job POST body. A JobSpec is a few hundred bytes;
+// anything past this bound is refused with 413 before it is decoded.
+const maxJobSpecBytes = 1 << 20
+
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle half-open connections cannot pin server goroutines.
+const readHeaderTimeout = 10 * time.Second
+
 // Server is the sweep service's HTTP front end:
 //
 //	POST   /api/v1/jobs              submit a sweep (JobSpec JSON) -> 202 + status
@@ -82,7 +90,7 @@ func (s *Server) Start(addr string) (string, error) {
 		return "", err
 	}
 	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler()}
+	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return ln.Addr().String(), nil
 }
@@ -178,9 +186,14 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJobSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("job spec exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
 		return
 	}

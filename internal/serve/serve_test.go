@@ -180,6 +180,48 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitBodyLimit: a job POST larger than maxJobSpecBytes is refused
+// with 413 before decoding, while an ordinary spec is still accepted.
+func TestSubmitBodyLimit(t *testing.T) {
+	_, ts := newTestServer(t, ManagerConfig{})
+	huge := `{"experiment":"fig4","benchmarks":["` + strings.Repeat("x", maxJobSpecBytes) + `"]}`
+	resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit -> %d, want 413", resp.StatusCode)
+	}
+
+	body, err := json.Marshal(smallSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(string(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("normal submit -> %d, want 202", resp.StatusCode)
+	}
+}
+
+// TestStartSetsReadHeaderTimeout: the listening server bounds header reads.
+func TestStartSetsReadHeaderTimeout(t *testing.T) {
+	m := NewManager(ManagerConfig{})
+	t.Cleanup(m.Close)
+	s := NewServer(m, nil)
+	if _, err := s.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { s.Close() })
+	if s.srv.ReadHeaderTimeout != readHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", s.srv.ReadHeaderTimeout, readHeaderTimeout)
+	}
+}
+
 // TestResultNotReady: fetching a result before the job finishes answers
 // 409, not a broken table.
 func TestResultNotReady(t *testing.T) {

@@ -14,10 +14,18 @@ import (
 	"sdpcm/internal/workload"
 )
 
-// checkpointVersion is the on-disk format version. Bump it whenever any
-// module's EncodeState layout changes; old files then fail with a
-// snap.VersionError instead of decoding garbage.
-const checkpointVersion = 1
+// checkpointVersion and multiCheckpointVersion are the on-disk format
+// versions of the two checkpoint containers. Default-topology runs write
+// v1 files (section "sim.run"), topology runs write v2 files (section
+// "sim.multi"); both carry the same per-module state through one codec,
+// and a container mismatch surfaces as a snap.VersionError wrapped in
+// ErrResume. Bump both whenever any module's EncodeState layout changes;
+// old files then fail with a snap.VersionError instead of decoding
+// garbage.
+const (
+	checkpointVersion      = 1
+	multiCheckpointVersion = 2
+)
 
 var (
 	// ErrResume marks a failure to load or validate a resume checkpoint.
@@ -53,18 +61,16 @@ func (c Config) checkpointIdentity(cores int) string {
 
 // runState bundles the live structures of one Run invocation so the
 // checkpoint encoder and the resume restorer see the same picture. The
-// orchestrator owns it; encode and restore are only called with the
-// executor quiesced (post-barrier, or before the main loop), when per-bank
-// state is exactly the inline state at this point in program order.
+// orchestrator owns it; encode and restore are only called with every
+// module executor quiesced (post-barrier, or before the main loop), when
+// per-bank state is exactly the inline state at this point in program
+// order.
 type runState struct {
-	cfg       Config
-	p         *bankPlane
-	exec      bankExec
-	allocator *alloc.Allocator
-	mirrors   []*tagMirror
-	cores     []*corePending
-	h         *coreHeap
-	wl        *weargap.IntraRow
+	cfg   Config
+	mods  []*moduleRun
+	cores []*corePending
+	h     *coreHeap
+	wl    *weargap.IntraRow
 
 	// totalRefs counts processed references in program order — one per
 	// heap dispatch, identical across shard counts — and triggers
@@ -73,12 +79,39 @@ type runState struct {
 	nextSnap  uint64
 }
 
-// encodeCheckpoint serializes the complete simulator state. Call only with
-// the executor quiesced.
+// topology reports whether the run uses a non-default topology and hence
+// the v2 container.
+func (s *runState) topology() bool { return !s.cfg.Topology.IsDefault() }
+
+// container returns the checkpoint's format version and section name.
+func (s *runState) container() (uint32, string) {
+	if s.topology() {
+		return multiCheckpointVersion, "sim.multi"
+	}
+	return checkpointVersion, "sim.run"
+}
+
+// identity is the configuration identity stored in the checkpoint. A
+// topology run appends the canonical topology, so a checkpoint can never
+// resume under a different module layout.
+func (s *runState) identity() string {
+	id := s.cfg.checkpointIdentity(len(s.cores))
+	if s.topology() {
+		id += " topo=" + s.cfg.Topology.Canon()
+	}
+	return id
+}
+
+// encodeCheckpoint serializes the complete simulator state: the shared
+// core states first, then each module's device, controllers, heatmap,
+// allocator, registries and integrity shadow in module order. The v2
+// container records the module count; the v1 container has one module and
+// carries the wear-leveling layer between its allocator and registries.
 func (s *runState) encodeCheckpoint() []byte {
-	e := snap.NewEncoder(checkpointVersion)
-	e.Begin("sim.run")
-	e.String(s.cfg.checkpointIdentity(len(s.cores)))
+	version, section := s.container()
+	e := snap.NewEncoder(version)
+	e.Begin(section)
+	e.String(s.identity())
 	e.U64(s.totalRefs)
 	e.U64(s.nextSnap)
 
@@ -103,37 +136,43 @@ func (s *runState) encodeCheckpoint() []byte {
 		c.as.EncodeState(e)
 	}
 
-	s.p.dev.EncodeState(e)
-	for b := range s.p.ctrls {
-		s.p.ctrls[b].EncodeState(e)
+	if s.topology() {
+		e.Uvarint(uint64(len(s.mods)))
 	}
-	s.p.hm.EncodeState(e)
-	s.allocator.EncodeState(e)
-	e.Bool(s.wl != nil)
-	if s.wl != nil {
-		s.wl.EncodeState(e)
-	}
-	for b := range s.p.regs {
-		s.p.regs[b].EncodeState(e) // nil-safe: disabled registries encode as absent
-	}
-
-	e.Bool(s.cfg.CheckIntegrity)
-	if s.cfg.CheckIntegrity {
-		merged := make(map[pcm.LineAddr]pcm.Line)
-		for _, sh := range s.exec.shadows() {
-			for a, l := range sh {
-				merged[a] = l
+	for _, m := range s.mods {
+		m.p.dev.EncodeState(e)
+		for b := range m.p.ctrls {
+			m.p.ctrls[b].EncodeState(e)
+		}
+		m.p.hm.EncodeState(e)
+		m.alloc.EncodeState(e)
+		if !s.topology() {
+			e.Bool(s.wl != nil)
+			if s.wl != nil {
+				s.wl.EncodeState(e)
 			}
 		}
-		addrs := make([]pcm.LineAddr, 0, len(merged))
-		for a := range merged {
-			addrs = append(addrs, a)
+		for b := range m.p.regs {
+			m.p.regs[b].EncodeState(e) // nil-safe: disabled registries encode as absent
 		}
-		slices.Sort(addrs)
-		e.Uvarint(uint64(len(addrs)))
-		for _, a := range addrs {
-			e.U64(uint64(a))
-			pcm.EncodeLine(e, merged[a])
+		e.Bool(s.cfg.CheckIntegrity)
+		if s.cfg.CheckIntegrity {
+			merged := make(map[pcm.LineAddr]pcm.Line)
+			for _, sh := range m.exec.shadows() {
+				for a, l := range sh {
+					merged[a] = l
+				}
+			}
+			addrs := make([]pcm.LineAddr, 0, len(merged))
+			for a := range merged {
+				addrs = append(addrs, a)
+			}
+			slices.Sort(addrs)
+			e.Uvarint(uint64(len(addrs)))
+			for _, a := range addrs {
+				e.U64(uint64(a))
+				pcm.EncodeLine(e, merged[a])
+			}
 		}
 	}
 	e.End()
@@ -167,14 +206,15 @@ func (s *runState) restoreCheckpoint(path string) ([]bool, error) {
 	if err != nil {
 		return nil, resumeErr(err)
 	}
-	d, err := snap.NewDecoder(data, checkpointVersion)
+	version, section := s.container()
+	d, err := snap.NewDecoder(data, version)
 	if err != nil {
 		return nil, resumeErr(err)
 	}
-	d.Begin("sim.run")
-	if id := d.String(); d.Err() == nil && id != s.cfg.checkpointIdentity(len(s.cores)) {
+	d.Begin(section)
+	if id := d.String(); d.Err() == nil && id != s.identity() {
 		return nil, resumeErr(fmt.Errorf("checkpoint belongs to a different configuration:\n  theirs: %s\n  ours:   %s",
-			id, s.cfg.checkpointIdentity(len(s.cores))))
+			id, s.identity()))
 	}
 	s.totalRefs = d.U64()
 	s.nextSnap = d.U64()
@@ -202,47 +242,55 @@ func (s *runState) restoreCheckpoint(path string) ([]bool, error) {
 		}
 	}
 
-	if err := s.p.dev.DecodeState(d); err != nil {
-		return nil, resumeErr(err)
-	}
-	for b := range s.p.ctrls {
-		if err := s.p.ctrls[b].DecodeState(d); err != nil {
-			return nil, resumeErr(err)
+	if s.topology() {
+		if n := d.Uvarint(); d.Err() == nil && n != uint64(len(s.mods)) {
+			return nil, resumeErr(fmt.Errorf("checkpoint has %d modules, this run has %d", n, len(s.mods)))
 		}
 	}
-	if err := s.p.hm.DecodeState(d); err != nil {
-		return nil, resumeErr(err)
-	}
-	if err := s.allocator.DecodeState(d); err != nil {
-		return nil, resumeErr(err)
-	}
-	hasWL := d.Bool()
-	if d.Err() == nil && hasWL != (s.wl != nil) {
-		return nil, resumeErr(fmt.Errorf("checkpoint wear-leveling presence %t does not match this run's %t", hasWL, s.wl != nil))
-	}
-	if hasWL {
-		if err := s.wl.DecodeState(d); err != nil {
+	for _, m := range s.mods {
+		if err := m.p.dev.DecodeState(d); err != nil {
 			return nil, resumeErr(err)
 		}
-	}
-	for b := range s.p.regs {
-		if err := s.p.regs[b].DecodeState(d); err != nil {
+		for b := range m.p.ctrls {
+			if err := m.p.ctrls[b].DecodeState(d); err != nil {
+				return nil, resumeErr(err)
+			}
+		}
+		if err := m.p.hm.DecodeState(d); err != nil {
 			return nil, resumeErr(err)
 		}
-	}
-
-	hasShadow := d.Bool()
-	if d.Err() == nil && hasShadow != s.cfg.CheckIntegrity {
-		return nil, resumeErr(fmt.Errorf("checkpoint integrity-shadow presence %t does not match this run's %t", hasShadow, s.cfg.CheckIntegrity))
-	}
-	if hasShadow {
-		// Direct worker-map writes are safe here: restore runs before the
-		// main loop posts any batch, and the first channel send orders
-		// these writes before all worker reads.
-		n := d.Uvarint()
-		for i := uint64(0); i < n && d.Err() == nil; i++ {
-			a := pcm.LineAddr(d.U64())
-			s.exec.restoreShadow(a, pcm.DecodeLine(d))
+		if err := m.alloc.DecodeState(d); err != nil {
+			return nil, resumeErr(err)
+		}
+		if !s.topology() {
+			hasWL := d.Bool()
+			if d.Err() == nil && hasWL != (s.wl != nil) {
+				return nil, resumeErr(fmt.Errorf("checkpoint wear-leveling presence %t does not match this run's %t", hasWL, s.wl != nil))
+			}
+			if hasWL {
+				if err := s.wl.DecodeState(d); err != nil {
+					return nil, resumeErr(err)
+				}
+			}
+		}
+		for b := range m.p.regs {
+			if err := m.p.regs[b].DecodeState(d); err != nil {
+				return nil, resumeErr(err)
+			}
+		}
+		hasShadow := d.Bool()
+		if d.Err() == nil && hasShadow != s.cfg.CheckIntegrity {
+			return nil, resumeErr(fmt.Errorf("checkpoint integrity-shadow presence %t does not match this run's %t", hasShadow, s.cfg.CheckIntegrity))
+		}
+		if hasShadow {
+			// Direct worker-map writes are safe here: restore runs before
+			// the main loop posts any batch, and the first channel send
+			// orders these writes before all worker reads.
+			n := d.Uvarint()
+			for i := uint64(0); i < n && d.Err() == nil; i++ {
+				a := pcm.LineAddr(d.U64())
+				m.exec.restoreShadow(a, pcm.DecodeLine(d))
+			}
 		}
 	}
 	d.End()
@@ -250,12 +298,15 @@ func (s *runState) restoreCheckpoint(path string) ([]bool, error) {
 		return nil, resumeErr(err)
 	}
 
-	// Re-sync the shard tag mirrors with the restored region ownership —
-	// DecodeState deliberately does not replay OnOwnerChange events.
-	for _, m := range s.mirrors {
-		for r := 0; r < s.cfg.MemPages; r += s.cfg.RegionPages {
-			if t := s.allocator.RegionTag(pcm.PageAddr(r)); t != alloc.Tag11 {
-				m.apply(r, t, true)
+	// Re-sync each module's shard tag mirrors with its restored region
+	// ownership — DecodeState deliberately does not replay OnOwnerChange
+	// events.
+	for _, m := range s.mods {
+		for _, mir := range m.mirrors {
+			for r := 0; r < m.pl.Pages; r += m.pl.RegionPages {
+				if t := m.alloc.RegionTag(pcm.PageAddr(r)); t != alloc.Tag11 {
+					mir.apply(r, t, true)
+				}
 			}
 		}
 	}

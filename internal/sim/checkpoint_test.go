@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"flag"
 	"os"
@@ -190,6 +192,41 @@ func TestCheckpointFixtureCompat(t *testing.T) {
 	r.ResumeFrom = fixturePath
 	if got := fullFingerprint(t, run(t, r)); got != want {
 		t.Errorf("resume from golden checkpoint diverged from the uninterrupted run: %s != %s", got, want)
+	}
+}
+
+// TestCheckpointWriterStable pins the checkpoint writer byte-for-byte: the
+// v1 container (fixtureCfg at fixtureInterval) and the v2 container
+// (multiCfg at 4001 references) must hash to the values recorded before the
+// two containers shared one codec, at every shard count. Unlike
+// TestCheckpointFixtureCompat, which only proves an old file still loads,
+// this fails on any drift in what the writer produces. An intentional
+// format change bumps the versions and re-pins both hashes.
+func TestCheckpointWriterStable(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		every int
+		want  string
+	}{
+		{"v1", fixtureCfg(), fixtureInterval, "c5328c5af2279bcc9d6aa305f0b5c500fe8689cf30631a1968d0111d790a9373"},
+		{"v2", multiCfg(), 4001, "33852567305d96f51281e0594642ba74840c2eb2cd703b5fac13a2cfab12c81f"},
+	} {
+		for _, shards := range []int{1, 4, 8} {
+			cfg := c.cfg
+			cfg.Shards = shards
+			cfg.CheckpointEvery = c.every
+			cfg.CheckpointPath = filepath.Join(t.TempDir(), "pin.ckpt")
+			run(t, cfg)
+			data, err := os.ReadFile(cfg.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(data)
+			if got := hex.EncodeToString(sum[:]); got != c.want {
+				t.Errorf("%s shards=%d: checkpoint sha256 %s, want %s", c.name, shards, got, c.want)
+			}
+		}
 	}
 }
 

@@ -23,32 +23,28 @@ import (
 // adjacent rows within one bank (rows r±1 of the same bank), so per-bank
 // state machines fed the same per-bank op sequences produce identical state
 // regardless of how banks are grouped onto goroutines. Aggregate results are
-// folded in fixed bank order 0..Banks-1. One plane covers one module; a
-// multi-module topology builds one plane per module over that module's
-// device geometry.
+// folded in fixed bank order 0..Banks-1. One plane covers one module; every
+// run builds one plane per module over that module's device geometry.
 type bankPlane struct {
 	dev   *pcm.Device
 	geo   pcm.Geometry
 	ctrls []*mc.Controller
 	regs  []*metrics.Registry // nil entries when collection is off
 	hm    *wd.Heatmap         // nil when disabled; shared, bank-disjoint cells
-
-	traceCap int
 }
 
 // newBankPlane builds the per-bank controllers over the device's bank
 // geometry. mcCfg produces a fresh controller configuration per bank (policy
 // values are stateful and must not be shared); bankRngs must hold one labeled
-// stream per bank (module root "mc" → "bank-<b>"); resolve supplies each
+// stream per bank (module subtree "mc" → "bank-<b>"); resolve supplies each
 // bank's RegionResolver — the live allocator for single-goroutine execution,
 // a versioned tag mirror for shard goroutines.
 func newBankPlane(cfg Config, dev *pcm.Device, mcCfg func() mc.Config, resolve func(bank int) mc.RegionResolver, bankRngs []*rng.Rand) (*bankPlane, error) {
 	p := &bankPlane{
-		dev:      dev,
-		geo:      dev.Geometry(),
-		ctrls:    make([]*mc.Controller, dev.Banks()),
-		regs:     make([]*metrics.Registry, dev.Banks()),
-		traceCap: cfg.TraceEvents,
+		dev:   dev,
+		geo:   dev.Geometry(),
+		ctrls: make([]*mc.Controller, dev.Banks()),
+		regs:  make([]*metrics.Registry, dev.Banks()),
 	}
 	if cfg.HeatmapRegions > 0 {
 		p.hm = wd.NewHeatmapGeo(cfg.HeatmapRegions, dev.RowsPerBank, dev.Geometry())
@@ -93,51 +89,6 @@ func (p *bankPlane) mergedStats() (mcS mc.Stats, devS pcm.Stats, ecpS ecp.Stats,
 	}
 	devS = p.dev.Stats()
 	return
-}
-
-// simCounters is the orchestrator-side contribution to a snapshot.
-type simCounters struct {
-	cycles       uint64
-	instructions uint64
-	tlbMisses    uint64
-	pageFaults   uint64
-	wearMoves    uint64
-}
-
-// assembleSnapshot builds a metrics snapshot from the quiesced plane: module
-// stats are rendered into a scratch registry, merged with every bank
-// registry's histograms, and the per-bank event-ring tails are combined into
-// one canonical bounded tail. The result is a pure function of per-bank
-// state, so it is byte-identical across shard counts.
-func (p *bankPlane) assembleSnapshot(sc simCounters) *metrics.Snapshot {
-	tmp := metrics.New()
-	mcS, devS, ecpS, wdS := p.mergedStats()
-	mcS.Publish(tmp)
-	devS.Publish(tmp)
-	ecpS.Publish(tmp)
-	wdS.Publish(tmp)
-	tmp.Counter("sim.instructions").Add(sc.instructions)
-	tmp.Counter("sim.tlb_misses").Add(sc.tlbMisses)
-	tmp.Counter("sim.page_faults").Add(sc.pageFaults)
-	tmp.Counter("sim.wear_moves").Add(sc.wearMoves)
-	tmp.Gauge("sim.cycles").Set(sc.cycles)
-	s := tmp.Snapshot()
-	var tails [][]metrics.Event
-	var dropped []uint64
-	for b := range p.regs {
-		bs := p.regs[b].Snapshot()
-		if p.traceCap > 0 {
-			tails = append(tails, bs.Events)
-			dropped = append(dropped, bs.EventsDropped)
-		}
-		s = s.Merge(bs)
-	}
-	if p.traceCap > 0 {
-		s.Events, s.EventsDropped = metrics.MergeEventTails(p.traceCap, tails, dropped)
-	} else {
-		s.Events, s.EventsDropped = nil, 0
-	}
-	return s
 }
 
 // flushAll drains every controller completely and returns the cycle all work

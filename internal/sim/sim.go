@@ -48,12 +48,14 @@ type Config struct {
 	// RefsPerCore is the number of main-memory references each core
 	// replays (the paper uses 10M; benches use less, shape-preserving).
 	RefsPerCore int
-	// Topology, when set to a non-default spec, runs the multi-module
-	// simulator: each module gets its own device, allocator, per-bank
-	// controllers and labeled RNG subtree, cores are assigned to modules
-	// round-robin, and per-module link latency is charged on every request
-	// and response. Nil (or topo.Default()) selects the classic
-	// single-DIMM path with byte-identical results to earlier versions.
+	// Topology lays memory out as modules: each module gets its own
+	// device, allocator, per-bank controllers and labeled RNG subtree,
+	// cores are assigned to modules round-robin, and per-module link
+	// latency is charged on every request and response. Nil (or
+	// topo.Default()) is one 16-bank module holding all of memory whose
+	// RNG subtree is the root itself, so its results are byte-identical to
+	// earlier single-DIMM versions; it alone supports WearLevelPsi and
+	// reports no Result.Modules breakdown.
 	Topology *topo.Spec
 	// MemPages is the device size in pages (default 2^21 = 8 GB).
 	MemPages int
@@ -195,7 +197,7 @@ type Result struct {
 	Heatmap *wd.HeatmapSnapshot
 
 	// Modules holds the per-module breakdown of a multi-module topology
-	// run, in module order. Empty on the classic single-DIMM path.
+	// run, in module order. Empty on the default topology.
 	Modules []ModuleResult `json:",omitempty"`
 
 	// ExecMetrics is the sharded executor's behaviour snapshot: batch
@@ -268,8 +270,9 @@ type mutator interface {
 	DrawMutation() workload.Mutation
 }
 
-// corePending is the per-core event state. mod is the owning module index of
-// a multi-module run (always 0 on the classic path).
+// corePending is the per-core event state. mod is the index of the module
+// the core's address space allocates from (always 0 on the default
+// topology).
 type corePending struct {
 	id     int
 	mod    int
@@ -298,60 +301,44 @@ func (h *coreHeap) Pop() any {
 	return x
 }
 
-// Run executes one simulation.
+// Run executes one simulation. It builds one moduleRun per topology
+// placement, assigns cores to modules round-robin (core i → module i mod
+// M) and drives all cores from one event loop, charging a module's link
+// latency on every request and response. RNG label order is fixed —
+// module subtrees in module order, then the shared "mutator"/"workload"
+// stream — so results depend only on (seed, topology, workload), never on
+// scheduling. A topology run gives module i the subtree root→"module-<i>";
+// the default topology's single module draws from the root itself
+// (root→"fill", root→"mc"→"bank-<b>"), which keeps default runs
+// byte-identical to the pinned equivalence fixture and golden tables.
 func Run(cfg Config) (Result, error) {
 	cfg = cfg.normalized()
 	if err := cfg.Scheme.Validate(); err != nil {
 		return Result{}, err
 	}
-	if !cfg.Topology.IsDefault() {
-		return runMulti(cfg)
+	placements, err := cfg.placements()
+	if err != nil {
+		return Result{}, err
 	}
+	topology := !cfg.Topology.IsDefault()
 	root := rng.New(cfg.Seed)
-
-	dev, err := pcm.NewDevice(pcm.Config{
-		Pages:    cfg.MemPages,
-		FillSeed: root.SplitLabeled("fill").Uint64(),
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	allocator, err := alloc.New(cfg.MemPages, cfg.RegionPages)
-	if err != nil {
-		return Result{}, err
-	}
-	// Per-bank RNG streams: the root's "mc" child seeds one labeled stream
-	// per bank, so a bank's stochastic disturbance draws depend only on
-	// (seed, bank, that bank's op sequence) — never on global call order —
-	// which is what makes results shard-count invariant.
-	bankRngs := root.SplitLabeled("mc").SplitLabeledSeq("bank", pcm.NumBanks)
-
-	shards := cfg.Shards
-	if shards > pcm.NumBanks {
-		shards = pcm.NumBanks
-	}
-	var mirrors []*tagMirror
-	resolve := func(bank int) mc.RegionResolver { return allocator }
-	if shards > 1 {
-		mirrors = make([]*tagMirror, shards)
-		for s := range mirrors {
-			mirrors[s] = newTagMirror(allocator)
+	var mods []*moduleRun
+	defer func() {
+		for _, m := range mods {
+			m.exec.close() // idempotent; joins shard goroutines on error paths
 		}
-		resolve = func(bank int) mc.RegionResolver { return mirrors[bank%shards] }
+	}()
+	for i, pl := range placements {
+		sub := root
+		if topology {
+			sub = root.SplitLabeled(fmt.Sprintf("module-%d", i))
+		}
+		m, err := newModuleRun(cfg, pl, sub)
+		if err != nil {
+			return Result{}, fmt.Errorf("sim: module %s: %w", pl.Name, err)
+		}
+		mods = append(mods, m)
 	}
-	p, err := newBankPlane(cfg, dev, func() mc.Config { return cfg.Scheme.MCConfig(cfg.WriteQueueCap) }, resolve, bankRngs)
-	if err != nil {
-		return Result{}, err
-	}
-	var exec bankExec
-	if shards > 1 {
-		se := newShardExec(p, mirrors, cfg)
-		allocator.OnOwnerChange = se.ownerChange
-		exec = se
-	} else {
-		exec = newInlineExec(p, cfg.CheckIntegrity)
-	}
-	defer exec.close() // idempotent; joins shard goroutines on error paths
 
 	type coreSrc struct {
 		stream trace.Stream
@@ -375,22 +362,23 @@ func Run(cfg Config) (Result, error) {
 			srcs = append(srcs, coreSrc{stream: g, mut: g})
 		}
 	}
-
 	if len(cfg.CoreTags) > 0 && len(cfg.CoreTags) != len(srcs) {
 		return Result{}, fmt.Errorf("sim: %d CoreTags for %d cores", len(cfg.CoreTags), len(srcs))
 	}
+
 	h := make(coreHeap, 0, len(srcs))
 	cores := make([]*corePending, len(srcs))
 	for i, src := range srcs {
-		tag := cfg.Scheme.Tag
+		mod := i % len(mods)
+		tag := mods[mod].scheme.Tag
 		if len(cfg.CoreTags) > 0 {
 			tag = cfg.CoreTags[i]
 		}
-		as, err := vm.NewAddressSpace(allocator, tag, 0)
+		as, err := vm.NewAddressSpace(mods[mod].alloc, tag, 0)
 		if err != nil {
 			return Result{}, err
 		}
-		cores[i] = &corePending{id: i, stream: src.stream, mut: src.mut, as: as}
+		cores[i] = &corePending{id: i, mod: mod, stream: src.stream, mut: src.mut, as: as}
 		h = append(h, cores[i])
 	}
 	heap.Init(&h)
@@ -399,6 +387,8 @@ func Run(cfg Config) (Result, error) {
 	if len(cfg.Streams) > 0 {
 		mixName = "trace-replay"
 	}
+	// Wear leveling is legal only on the default topology (placements
+	// rejects it otherwise), so its addresses are those of module 0.
 	var wl *weargap.IntraRow
 	if cfg.WearLevelPsi > 0 {
 		wl, err = weargap.NewIntraRow(cfg.WearLevelPsi)
@@ -430,19 +420,25 @@ func Run(cfg Config) (Result, error) {
 		}
 		return sc
 	}
+	// barrierAll quiesces every module's shards so the planes hold exactly
+	// the inline state at this point in program order.
+	barrierAll := func() {
+		for _, m := range mods {
+			m.exec.barrier()
+		}
+	}
 	snapshotting := cfg.SnapshotInterval > 0 && cfg.OnSnapshot != nil
 	nextSnap := cfg.SnapshotInterval
 
-	ckpt := runState{
-		cfg: cfg, p: p, exec: exec, allocator: allocator, mirrors: mirrors,
-		cores: cores, h: &h, wl: wl, nextSnap: nextSnap,
-	}
+	ckpt := runState{cfg: cfg, mods: mods, cores: cores, h: &h, wl: wl, nextSnap: nextSnap}
 	checkpointing := cfg.CheckpointEvery > 0 && cfg.CheckpointPath != ""
 	if checkpointing || cfg.ResumeFrom != "" {
-		// All controllers share one scheme config; checking bank 0 covers
-		// every bank.
-		if err := p.ctrls[0].CheckpointSupported(); err != nil {
-			return Result{}, fmt.Errorf("%w: %v", ErrCheckpointUnsupported, err)
+		// A module's controllers share one scheme config; checking bank 0
+		// covers every bank.
+		for _, m := range mods {
+			if err := m.p.ctrls[0].CheckpointSupported(); err != nil {
+				return Result{}, fmt.Errorf("%w: module %s: %v", ErrCheckpointUnsupported, m.pl.Name, err)
+			}
 		}
 	}
 	if cfg.ResumeFrom != "" {
@@ -472,11 +468,12 @@ func Run(cfg Config) (Result, error) {
 		// Non-memory instructions: 1 cycle each on the in-order core.
 		c.time += uint64(rec.Gap)
 		c.instrs += uint64(rec.Gap) + 1
+		m := mods[c.mod]
 		if rec.Kind == trace.Read {
 			// Lookahead: the next op is a blocking read, but which bank it
 			// hits is only known after translation. Publish in-flight batches
 			// now so workers drain backlog while the TLB/page tables resolve.
-			exec.hintRead()
+			m.exec.hintRead()
 		}
 		logical, err := translate(c, rec, wl != nil)
 		if err != nil {
@@ -484,20 +481,23 @@ func Run(cfg Config) (Result, error) {
 		}
 		addr := remap(logical)
 		if rec.Kind == trace.Read {
-			done, _, err := exec.read(c.time, addr, logical)
+			// The request crosses the link before the module sees it and
+			// the data crosses back: both legs charge the module's link
+			// latency on the blocking load.
+			done, _, err := m.exec.read(c.time+m.link, addr, logical)
 			if err != nil {
 				return Result{}, err
 			}
-			c.time = done // blocking load
+			c.time = done + m.link
 		} else {
-			m := c.mut.DrawMutation()
-			exec.write(c.time, addr, logical, m)
-			c.time++
+			mut := c.mut.DrawMutation()
+			m.exec.write(c.time+m.link, addr, logical, mut)
+			c.time++ // posted write: the core only pays the issue cycle
 			if wl != nil {
 				if from, to, moved := wl.NoteWrite(addr); moved {
 					// Start-Gap copy, routed through the controller so it
 					// forwards from queued writes and undergoes VnC.
-					exec.copyLine(c.time, from, to)
+					m.exec.copyLine(c.time, from, to)
 				}
 			}
 		}
@@ -508,26 +508,28 @@ func Run(cfg Config) (Result, error) {
 			heap.Fix(&h, 0)
 		}
 		if snapshotting && c.time >= nextSnap {
-			// Quiesce the shards so the plane state is exactly the inline
-			// state at this point in program order, then snapshot it.
-			exec.barrier()
-			cfg.OnSnapshot(p.assembleSnapshot(sumCounters(c.time)))
+			barrierAll()
+			cfg.OnSnapshot(assembleSnapshot(mods, cfg.TraceEvents, sumCounters(c.time)))
 			for nextSnap <= c.time {
 				nextSnap += cfg.SnapshotInterval
 			}
 		}
 		ckpt.totalRefs++
 		if checkpointing && ckpt.totalRefs%uint64(cfg.CheckpointEvery) == 0 {
-			exec.barrier()
+			barrierAll()
 			ckpt.nextSnap = nextSnap
 			if err := writeCheckpoint(cfg.CheckpointPath, ckpt.encodeCheckpoint()); err != nil {
 				return Result{}, err
 			}
 		}
 	}
-	exec.close()
-	if se, ok := exec.(*shardExec); ok {
-		res.ExecMetrics = se.execMetrics()
+	for _, m := range mods {
+		m.exec.close()
+		if se, ok := m.exec.(*shardExec); ok {
+			if sm := se.execMetrics(); sm != nil {
+				res.ExecMetrics = res.ExecMetrics.Merge(sm)
+			}
+		}
 	}
 
 	var maxEnd uint64
@@ -541,12 +543,17 @@ func Run(cfg Config) (Result, error) {
 		res.TLBMisses += c.as.TLB.Misses
 		res.PageFaults += c.as.Faults
 	}
-	end := p.flushAll(maxEnd)
+	var end uint64
+	for _, m := range mods {
+		end = max(end, m.p.flushAll(maxEnd))
+	}
 	if cfg.CheckIntegrity {
-		for _, sh := range exec.shadows() {
-			for logical, want := range sh {
-				if got := p.ctrlFor(remap(logical)).PeekData(remap(logical)); got != want {
-					return Result{}, fmt.Errorf("sim: integrity violation: line %d corrupted after flush (WD escaped VnC)", logical)
+		for _, m := range mods {
+			for _, sh := range m.exec.shadows() {
+				for logical, want := range sh {
+					if got := m.p.ctrlFor(remap(logical)).PeekData(remap(logical)); got != want {
+						return Result{}, fmt.Errorf("sim: integrity violation: module %s line %d corrupted after flush (WD escaped VnC)", m.pl.Name, logical)
+					}
 				}
 			}
 		}
@@ -558,20 +565,30 @@ func Run(cfg Config) (Result, error) {
 	if len(cores) > 0 {
 		res.CPI = cpiSum / float64(len(cores))
 	}
-	res.MC, res.Dev, res.ECP, res.WD = p.mergedStats()
-	if p.collecting() {
-		res.Metrics = p.assembleSnapshot(simCounters{
-			cycles:       res.Cycles,
-			instructions: res.Instructions,
-			tlbMisses:    res.TLBMisses,
-			pageFaults:   res.PageFaults,
-			wearMoves:    res.WearMoves,
-		})
+	for _, m := range mods {
+		mr := ModuleResult{
+			Name:       m.pl.Name,
+			Scheme:     m.scheme.Name,
+			Banks:      m.pl.Banks,
+			Pages:      m.pl.Pages,
+			LinkCycles: m.pl.LinkCycles,
+		}
+		mr.MC, mr.Dev, mr.ECP, mr.WD = m.p.mergedStats()
+		res.MC.Add(mr.MC)
+		res.Dev.Add(mr.Dev)
+		res.ECP.Add(mr.ECP)
+		res.WD.Add(mr.WD)
+		if topology {
+			res.Modules = append(res.Modules, mr)
+		}
+	}
+	if mods[0].p.collecting() {
+		res.Metrics = assembleSnapshot(mods, cfg.TraceEvents, sumCounters(res.Cycles))
 		if cfg.OnSnapshot != nil {
 			cfg.OnSnapshot(res.Metrics)
 		}
 	}
-	res.Heatmap = p.hm.Snapshot()
+	res.Heatmap = stackHeatmaps(mods)
 	return res, nil
 }
 

@@ -75,7 +75,9 @@ func Default() *Spec {
 }
 
 // IsDefault reports whether the spec (nil included) describes the default
-// single-module topology, i.e. selects the simulator's classic code path.
+// single-module topology: the simulator runs it as one 16-bank module
+// seeded from the run's RNG root, byte-identical to a plain single-DIMM
+// run.
 func (s *Spec) IsDefault() bool {
 	return s == nil || (len(s.Modules) == 1 && s.Modules[0] == Module{})
 }

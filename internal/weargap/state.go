@@ -38,8 +38,11 @@ func (w *IntraRow) DecodeState(d *snap.Decoder) error {
 	d.Begin("weargap.intrarow")
 	w.wcnt = d.Int()
 	w.Moves = d.U64()
+	if w.wcnt < 0 || w.wcnt >= w.psi {
+		d.Reject("weargap: shared write counter %d outside [0,%d)", w.wcnt, w.psi)
+	}
 	n := d.Uvarint()
-	w.rows = make(map[int]*Leveler, n)
+	w.rows = make(map[int]*Leveler)
 	for i := uint64(0); i < n && d.Err() == nil; i++ {
 		k := d.Int()
 		l, err := New(pcm.LinesPerPage-1, w.psi) // same shape leveler() builds
@@ -51,6 +54,16 @@ func (w *IntraRow) DecodeState(d *snap.Decoder) error {
 		l.gap = d.Int()
 		l.Moves = d.U64()
 		l.Rotations = d.U64()
+		switch {
+		case k < 0:
+			d.Reject("weargap: negative row key %d", k)
+		case l.start < 0 || l.start >= l.n:
+			d.Reject("weargap: row %d start %d outside [0,%d)", k, l.start, l.n)
+		case l.gap < 0 || l.gap > l.n:
+			d.Reject("weargap: row %d gap %d outside [0,%d]", k, l.gap, l.n)
+		case l.wcnt < 0 || l.wcnt >= w.psi:
+			d.Reject("weargap: row %d write counter %d outside [0,%d)", k, l.wcnt, w.psi)
+		}
 		w.rows[k] = l
 	}
 	d.End()
