@@ -84,5 +84,15 @@ func runCalibrate(refs int, seed uint64) int {
 	}
 	fmt.Printf("\ncalibrate: best -shards %d -batch-window %d (%v)\n",
 		fastest.shards, fastest.window, fastest.best.Round(time.Millisecond))
+	// The cells above run one simulation at a time, so the auto rule gets
+	// every core, as it does in sdpcm-sim and in sdpcm-bench -parallel 1.
+	procs := runtime.GOMAXPROCS(0)
+	auto, _ := sdpcm.ResolveShards(0, procs)
+	verdict := "agrees with the fastest"
+	if auto != fastest.shards {
+		verdict = fmt.Sprintf("differs from the fastest (-shards %d)", fastest.shards)
+	}
+	fmt.Printf("calibrate: auto -shards 0 resolves to %d for one simulation on %d cores (inline below %d); %s\n",
+		auto, procs, sdpcm.ShardCrossoverCores, verdict)
 	return 0
 }

@@ -28,28 +28,19 @@ import (
 
 	"sdpcm"
 	"sdpcm/internal/obs"
-	"sdpcm/internal/pcm"
 	"sdpcm/internal/prof"
 	"sdpcm/internal/serve"
 	"sdpcm/internal/topo"
 )
 
-// maxShardsFlag bounds what -shards accepts: anything beyond the bank count
-// is already clamped by the simulator, but values this far out are always a
-// typo and deserve a usage error rather than a silent clamp.
-const maxShardsFlag = 1024
-
-// resolveShards maps the -shards flag to a concrete shard count: 0 picks
-// min(banks, GOMAXPROCS) — no point spawning more workers than cores or more
-// shards than banks. Results are byte-identical at every value.
-func resolveShards(n int) (int, error) {
-	if n < 0 || n > maxShardsFlag {
-		return 0, fmt.Errorf("-shards %d out of range (usage: -shards 0..%d, 0 = min(banks, GOMAXPROCS))", n, maxShardsFlag)
+// shardBudget is how many cores one simulation of a sweep may use: the
+// host's procs split evenly over the parallel (0 = procs) concurrent
+// points, so an auto -shards never runs N points x N shards on N cores.
+func shardBudget(procs, parallel int) int {
+	if parallel <= 0 {
+		parallel = procs
 	}
-	if n == 0 {
-		return min(pcm.NumBanks, runtime.GOMAXPROCS(0)), nil
-	}
-	return n, nil
+	return max(1, procs/parallel)
 }
 
 // shardsString renders the resolved shard count for the stderr summary. A
@@ -144,7 +135,7 @@ func run() int {
 		memMB     = flag.Int("mem-mb", 512, "simulated PCM capacity in MB")
 		region    = flag.Int("region-pages", 1024, "(n:m) marking-region size in pages (paper: 16384 = 64MB)")
 		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = all cores, 1 = sequential; results are identical)")
-		shards    = flag.Int("shards", 1, "bank-shard worker goroutines inside each simulation (0 = min(banks, GOMAXPROCS), 1 = single-goroutine; results are byte-identical)")
+		shards    = flag.Int("shards", 1, "bank-shard worker goroutines inside each simulation (0 = auto: GOMAXPROCS/parallel cores per simulation, inline below 4, else min(banks, those cores); 1 = single-goroutine; results are byte-identical)")
 		batchWin  = flag.Int("batch-window", 0, "cap the sharded executor's adaptive batch window in ops (0 = default; tuning only, results unchanged)")
 		calibrate = flag.Bool("calibrate", false, "sweep shard count and batch window on this host, print the timing table and the fastest configuration, then exit")
 		progress  = flag.Bool("progress", false, "stream one line per completed simulation point to stderr")
@@ -189,7 +180,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sdpcm-bench: unknown -metrics format %q (usage: -metrics json|table)\n", *metricf)
 		return 2
 	}
-	nshards, err := resolveShards(*shards)
+	nshards, err := sdpcm.ResolveShards(*shards, shardBudget(runtime.GOMAXPROCS(0), *parallel))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdpcm-bench: %v\n", err)
 		return 2

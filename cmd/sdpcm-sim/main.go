@@ -19,28 +19,9 @@ import (
 
 	"sdpcm"
 	"sdpcm/internal/obs"
-	"sdpcm/internal/pcm"
 	"sdpcm/internal/prof"
 	"sdpcm/internal/topo"
 )
-
-// maxShardsFlag bounds what -shards accepts: anything beyond the bank count
-// is already clamped by the simulator, but values this far out are always a
-// typo and deserve a usage error rather than a silent clamp.
-const maxShardsFlag = 1024
-
-// resolveShards maps the -shards flag to a concrete shard count: 0 picks
-// min(banks, GOMAXPROCS) — no point spawning more workers than cores or more
-// shards than banks. Results are byte-identical at every value.
-func resolveShards(n int) (int, error) {
-	if n < 0 || n > maxShardsFlag {
-		return 0, fmt.Errorf("-shards %d out of range (usage: -shards 0..%d, 0 = min(banks, GOMAXPROCS))", n, maxShardsFlag)
-	}
-	if n == 0 {
-		return min(pcm.NumBanks, runtime.GOMAXPROCS(0)), nil
-	}
-	return n, nil
-}
 
 func main() { os.Exit(run()) }
 
@@ -56,7 +37,7 @@ func run() int {
 		ecp       = flag.Int("ecp", sdpcm.DefaultECPEntries, "ECP entries per line for LazyC schemes")
 		queue     = flag.Int("queue", 32, "write queue entries per bank")
 		seed      = flag.Uint64("seed", 42, "random seed")
-		shards    = flag.Int("shards", 0, "bank-shard worker goroutines per run (0 = min(banks, GOMAXPROCS), 1 = single-goroutine; results are byte-identical)")
+		shards    = flag.Int("shards", 0, "bank-shard worker goroutines per run (0 = auto: inline below 4 cores, else min(banks, GOMAXPROCS); 1 = single-goroutine; results are byte-identical)")
 		batchWin  = flag.Int("batch-window", 0, "cap the sharded executor's adaptive batch window in ops (0 = default; tuning only, results unchanged)")
 		topoFile  = flag.String("topology", "", "JSON topology spec file: run on the multi-module memory it describes instead of the single default DIMM (see DESIGN.md §9)")
 		noBase    = flag.Bool("no-baseline", false, "skip the baseline comparison run")
@@ -114,7 +95,7 @@ func run() int {
 	if *perfOut != "" && *trEv <= 0 {
 		*trEv = 65536 // the timeline needs events; keep a generous tail
 	}
-	nshards, err := resolveShards(*shards)
+	nshards, err := sdpcm.ResolveShards(*shards, runtime.GOMAXPROCS(0))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sdpcm-sim: %v\n", err)
 		return 2

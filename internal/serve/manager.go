@@ -14,6 +14,7 @@ import (
 	"sdpcm/internal/metrics"
 	"sdpcm/internal/obs"
 	"sdpcm/internal/runner"
+	"sdpcm/internal/sim"
 	"sdpcm/internal/topo"
 	"sdpcm/internal/wd"
 	"sdpcm/internal/workload"
@@ -44,6 +45,20 @@ const jobEventLogCap = 512
 // view (the per-point tails concatenate here; overflow counts as dropped).
 const jobEventRingCap = 1024
 
+// Job-size bounds. Each numeric JobSpec field must lie in 0..max (0 picks
+// the harness default), so one POST cannot size a simulation past what the
+// server can hold: TraceEvents and MemMB size per-bank buffers of every
+// point up front. The bounds admit the paper's scale (10M refs/core), the
+// library's default 8 GB device and every CLI default.
+const (
+	maxJobRefsPerCore    = 10_000_000
+	maxJobCores          = 64
+	maxJobMemMB          = 8192
+	maxJobRegionPages    = maxJobMemMB * 256 // the whole largest device, in 4KB pages
+	maxJobTraceEvents    = 1 << 16
+	maxJobHeatmapRegions = 1 << 12
+)
+
 // JobSpec is the POST /api/v1/jobs request body: which experiment to run
 // and the sweep-scale knobs, mirroring sdpcm-bench's flags. Zero values
 // pick the experiment harness defaults. Metrics collection is always on —
@@ -72,11 +87,28 @@ type JobSpec struct {
 	Topology *topo.Spec `json:"topology,omitempty"`
 }
 
-// Validate rejects a spec the run would reject anyway, so submission
-// errors surface as HTTP 400 instead of a failed job.
+// Validate rejects a spec the run would reject anyway, or one sized past
+// the job-size bounds, so submission errors surface as HTTP 400 instead of
+// a failed job or an exhausted server.
 func (s JobSpec) Validate() error {
 	if _, err := experiments.ByName(s.Experiment); err != nil {
 		return err
+	}
+	for _, f := range []struct {
+		name   string
+		v, max int
+	}{
+		{"refs_per_core", s.RefsPerCore, maxJobRefsPerCore},
+		{"cores", s.Cores, maxJobCores},
+		{"mem_mb", s.MemMB, maxJobMemMB},
+		{"region_pages", s.RegionPages, maxJobRegionPages},
+		{"shards", s.Shards, sim.MaxShards},
+		{"trace_events", s.TraceEvents, maxJobTraceEvents},
+		{"heatmap_regions", s.HeatmapRegions, maxJobHeatmapRegions},
+	} {
+		if f.v < 0 || f.v > f.max {
+			return fmt.Errorf("serve: %s %d out of range (0..%d, 0 = default)", f.name, f.v, f.max)
+		}
 	}
 	for _, b := range s.Benchmarks {
 		if _, err := workload.ByName(b); err != nil {

@@ -4,12 +4,15 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"sdpcm/internal/sim"
 )
 
 // smallSpec is a one-point job: fig4 over a single benchmark at a tiny
@@ -407,5 +410,54 @@ func TestDrain(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining -> %d", resp.StatusCode)
+	}
+}
+
+// TestSubmitRejectsOutOfRangeSizes: every numeric knob is range-checked at
+// submission, so one POST cannot size a simulation past the job-size
+// bounds; each field one past its bound, or negative, is a 400. The job is a
+// closed-form table, so a missing bound would cost an accepted job, not a
+// simulation of the requested size.
+func TestSubmitRejectsOutOfRangeSizes(t *testing.T) {
+	_, ts := newTestServer(t, ManagerConfig{})
+	for field, max := range map[string]int{
+		"refs_per_core":   maxJobRefsPerCore,
+		"cores":           maxJobCores,
+		"mem_mb":          maxJobMemMB,
+		"region_pages":    maxJobRegionPages,
+		"shards":          sim.MaxShards,
+		"trace_events":    maxJobTraceEvents,
+		"heatmap_regions": maxJobHeatmapRegions,
+	} {
+		for _, v := range []int{max + 1, -1, 1 << 40} {
+			body := fmt.Sprintf(`{"experiment":"table1",%q:%d}`, field, v)
+			resp, err := http.Post(ts.URL+"/api/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(raw), field) {
+				t.Errorf("%s=%d -> %d %s, want 400 naming the field", field, v, resp.StatusCode, raw)
+			}
+		}
+	}
+}
+
+// TestJobSizeBoundsAdmitKnownScales: the bounds admit the paper's scale, the
+// CLI defaults, the smoke and benchmark sweep specs, and each bound itself.
+func TestJobSizeBoundsAdmitKnownScales(t *testing.T) {
+	for name, s := range map[string]JobSpec{
+		"paper scale":  {RefsPerCore: 10_000_000, Cores: 8, MemMB: 8192, RegionPages: 16384},
+		"cli defaults": {RefsPerCore: 6000, Cores: 8, MemMB: 512, RegionPages: 1024, Shards: 1, HeatmapRegions: 16},
+		"sweep smoke":  {RefsPerCore: 2000, Cores: 4, MemMB: 128, RegionPages: 256},
+		"at bounds": {RefsPerCore: maxJobRefsPerCore, Cores: maxJobCores, MemMB: maxJobMemMB,
+			RegionPages: maxJobRegionPages, Shards: sim.MaxShards, TraceEvents: maxJobTraceEvents,
+			HeatmapRegions: maxJobHeatmapRegions},
+	} {
+		s.Experiment = "fig11"
+		if err := s.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

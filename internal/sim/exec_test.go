@@ -319,3 +319,34 @@ func TestExecMetricsPlacement(t *testing.T) {
 		t.Fatal("ExecMetrics exported with collection off")
 	}
 }
+
+// TestResolveShards pins the host-aware -shards default and the shared range
+// check: inline below ShardCrossoverCores, min(banks, cores) at or above it,
+// explicit counts passed through, and one usage error outside 0..MaxShards.
+func TestResolveShards(t *testing.T) {
+	for _, tc := range []struct {
+		n, cores, want int
+	}{
+		{0, 1, 1},
+		{0, 2, 1},
+		{0, 3, 1},
+		{0, 4, 4},
+		{0, 8, 8},
+		{0, 32, pcm.NumBanks},
+		{1, 32, 1},
+		{4, 2, 4},
+		{MaxShards, 1, MaxShards},
+	} {
+		got, err := ResolveShards(tc.n, tc.cores)
+		if err != nil || got != tc.want {
+			t.Errorf("ResolveShards(%d, %d) = %d, %v; want %d", tc.n, tc.cores, got, err, tc.want)
+		}
+	}
+	for _, n := range []int{-1, MaxShards + 1} {
+		_, err := ResolveShards(n, 8)
+		want := fmt.Sprintf("-shards %d out of range (usage: -shards 0..1024, 0 = inline below 4 cores, else min(banks, cores))", n)
+		if err == nil || err.Error() != want {
+			t.Errorf("ResolveShards(%d, 8) error = %v; want %q", n, err, want)
+		}
+	}
+}

@@ -145,6 +145,17 @@ type SimResult = sim.Result
 // Run executes one simulation.
 func Run(cfg SimConfig) (SimResult, error) { return sim.Run(cfg) }
 
+// ResolveShards maps a -shards request to SimConfig.Shards for one
+// simulation that may use cores cores: 0 runs inline below
+// ShardCrossoverCores and min(banks, cores) shards at or above it; explicit
+// counts in 1..1024 pass through. The library's Shards: 0 is always inline;
+// this host-aware rule is the command-line default.
+func ResolveShards(n, cores int) (int, error) { return sim.ResolveShards(n, cores) }
+
+// ShardCrossoverCores is the fewest cores at which ResolveShards(0, …) picks
+// the sharded executor.
+const ShardCrossoverCores = sim.ShardCrossoverCores
+
 // Checkpoint/resume re-exports: set SimConfig.CheckpointEvery/CheckpointPath
 // to periodically snapshot a run's complete state, and SimConfig.ResumeFrom
 // to continue from such a snapshot with a Result byte-identical to the
