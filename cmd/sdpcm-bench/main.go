@@ -136,8 +136,7 @@ func run() int {
 		region    = flag.Int("region-pages", 1024, "(n:m) marking-region size in pages (paper: 16384 = 64MB)")
 		parallel  = flag.Int("parallel", 0, "concurrent simulations (0 = all cores, 1 = sequential; results are identical)")
 		shards    = flag.Int("shards", 1, "bank-shard worker goroutines inside each simulation (0 = auto: GOMAXPROCS/parallel cores per simulation, inline below 4, else min(banks, those cores); 1 = single-goroutine; results are byte-identical)")
-		batchWin  = flag.Int("batch-window", 0, "cap the sharded executor's adaptive batch window in ops (0 = default; tuning only, results unchanged)")
-		calibrate = flag.Bool("calibrate", false, "sweep shard count and batch window on this host, print the timing table and the fastest configuration, then exit")
+		calibrate = flag.Bool("calibrate", false, "time each shard count on this host, print the timing table and the fastest one next to the auto choice, then exit")
 		progress  = flag.Bool("progress", false, "stream one line per completed simulation point to stderr")
 		noCache   = flag.Bool("no-cache", false, "disable result memoization (re-simulate points shared between figures)")
 		metricf   = flag.String("metrics", "", "emit the aggregated metrics snapshot after the tables: 'json' or 'table'")
@@ -185,10 +184,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sdpcm-bench: %v\n", err)
 		return 2
 	}
-	if *batchWin < 0 {
-		fmt.Fprintf(os.Stderr, "sdpcm-bench: -batch-window %d out of range (usage: -batch-window N, N >= 0)\n", *batchWin)
-		return 2
-	}
 	if *calibrate {
 		return runCalibrate(*refs, *seed)
 	}
@@ -200,7 +195,6 @@ func run() int {
 		RegionPages:     *region,
 		Parallel:        *parallel,
 		Shards:          nshards,
-		BatchWindow:     *batchWin,
 		NoCache:         *noCache,
 		CollectMetrics:  *metricf != "" || *benchOut != "" || *listen != "",
 		TraceEvents:     *trEv,

@@ -38,7 +38,6 @@ func run() int {
 		queue     = flag.Int("queue", 32, "write queue entries per bank")
 		seed      = flag.Uint64("seed", 42, "random seed")
 		shards    = flag.Int("shards", 0, "bank-shard worker goroutines per run (0 = auto: inline below 4 cores, else min(banks, GOMAXPROCS); 1 = single-goroutine; results are byte-identical)")
-		batchWin  = flag.Int("batch-window", 0, "cap the sharded executor's adaptive batch window in ops (0 = default; tuning only, results unchanged)")
 		topoFile  = flag.String("topology", "", "JSON topology spec file: run on the multi-module memory it describes instead of the single default DIMM (see DESIGN.md §9)")
 		noBase    = flag.Bool("no-baseline", false, "skip the baseline comparison run")
 		traces    = flag.String("trace", "", "comma-separated trace files to replay (one per core) instead of -bench")
@@ -100,10 +99,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "sdpcm-sim: %v\n", err)
 		return 2
 	}
-	if *batchWin < 0 {
-		fmt.Fprintf(os.Stderr, "sdpcm-sim: -batch-window %d out of range (usage: -batch-window N, N >= 0)\n", *batchWin)
-		return 2
-	}
 	cfg := sdpcm.SimConfig{
 		Scheme:         s,
 		Mix:            sdpcm.HomogeneousMix(*bench, *cores),
@@ -113,7 +108,6 @@ func run() int {
 		RegionPages:    1024,
 		Seed:           *seed,
 		Shards:         nshards,
-		BatchWindow:    *batchWin,
 		CollectMetrics: *metricf != "" || *listen != "",
 		TraceEvents:    *trEv,
 	}
@@ -144,8 +138,22 @@ func run() int {
 			cfg.SnapshotInterval = 1 << 20
 		}
 	}
+	// openTraces opens the -trace files as fresh bounded-memory streams, so
+	// the main run and the baseline comparison each replay them from the
+	// start. A decode failure mid-trace fails the run that hits it.
+	var traceFiles []io.Closer
+	defer func() {
+		for _, f := range traceFiles {
+			f.Close()
+		}
+	}()
+	openTraces := func() ([]sdpcm.TraceStream, error) {
+		streams, files, err := sdpcm.OpenTraceStreams(strings.Split(*traces, ",")...)
+		traceFiles = append(traceFiles, files...)
+		return streams, err
+	}
 	if *traces != "" {
-		streams, err := sdpcm.LoadTraceStreams(strings.Split(*traces, ",")...)
+		streams, err := openTraces()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
@@ -211,6 +219,12 @@ func run() int {
 		baseCfg.CheckpointPath = ""
 		baseCfg.CheckpointEvery = 0
 		baseCfg.ResumeFrom = ""
+		if *traces != "" {
+			if baseCfg.Streams, err = openTraces(); err != nil {
+				fmt.Fprintln(os.Stderr, err)
+				return 1
+			}
+		}
 		base, err := sdpcm.Run(baseCfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

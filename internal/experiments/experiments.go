@@ -69,9 +69,6 @@ type Options struct {
 	// it when a run is dominated by a few large points; Parallel is the
 	// better lever when a sweep has many independent points.
 	Shards int
-	// BatchWindow caps the sharded executor's adaptive batch window (0 =
-	// default; see sim.Config.BatchWindow). Tuning only — never results.
-	BatchWindow int
 	// Topology, when non-default, runs every simulation point on the
 	// multi-module simulator described by the spec (see sim.Config.Topology).
 	// Nil keeps the classic single-DIMM behaviour and cache keys.
@@ -146,7 +143,6 @@ func (o Options) base() runner.Base {
 		TraceEvents:    o.TraceEvents,
 		HeatmapRegions: o.HeatmapRegions,
 		Shards:         o.Shards,
-		BatchWindow:    o.BatchWindow,
 		Topology:       o.Topology,
 	}
 }
@@ -209,18 +205,6 @@ func (o Options) roster(def []core.Scheme) ([]core.Scheme, error) {
 		out = append([]core.Scheme{core.Baseline()}, out...)
 	}
 	return out, nil
-}
-
-// rosterSpecs declares a scheme-roster × benchmark grid, tagging each point
-// with its scheme name (the figure's column label).
-func rosterSpecs(benches []string, roster []core.Scheme) []runner.Spec {
-	specs := make([]runner.Spec, 0, len(benches)*len(roster))
-	for _, b := range benches {
-		for _, s := range roster {
-			specs = append(specs, runner.Spec{Scheme: s, Bench: b, Tag: s.Name})
-		}
-	}
-	return specs
 }
 
 // lookup indexes a sweep's results by (benchmark, tag) for table assembly.
@@ -322,12 +306,24 @@ func Fig5(o Options) (*stats.Table, error) {
 // Fig11 regenerates the headline scheme comparison: speedup normalised to
 // the basic-VnC baseline (bigger is better), per benchmark plus gmean.
 func Fig11(o Options) (*stats.Table, error) {
+	return rosterSpeedups(o, "Figure 11: system performance (normalised to baseline)", core.Figure11Roster())
+}
+
+// rosterSpeedups simulates a scheme roster (published, unless
+// Options.Schemes overrides it) on every benchmark and tabulates each
+// scheme's speedup over the baseline, per benchmark plus gmean.
+func rosterSpeedups(o Options, title string, published []core.Scheme) (*stats.Table, error) {
 	o = o.normalized()
-	roster, err := o.roster(core.Figure11Roster())
+	roster, err := o.roster(published)
 	if err != nil {
 		return nil, err
 	}
-	specs := rosterSpecs(o.Benchmarks, roster)
+	specs := make([]runner.Spec, 0, len(o.Benchmarks)*len(roster))
+	for _, b := range o.Benchmarks {
+		for _, s := range roster {
+			specs = append(specs, runner.Spec{Scheme: s, Bench: b, Tag: s.Name})
+		}
+	}
 	res, err := o.run(specs)
 	if err != nil {
 		return nil, err
@@ -337,7 +333,7 @@ func Fig11(o Options) (*stats.Table, error) {
 	for i, s := range roster {
 		cols[i] = s.Name
 	}
-	t := stats.NewTable("Figure 11: system performance (normalised to baseline)", cols...)
+	t := stats.NewTable(title, cols...)
 	for _, b := range o.Benchmarks {
 		base := get(b, "baseline")
 		for _, s := range roster {
@@ -580,35 +576,12 @@ func Fig18(o Options) (*stats.Table, error) {
 // Fig19 regenerates Figure 19: integrating write cancellation, normalised
 // to the VnC baseline.
 func Fig19(o Options) (*stats.Table, error) {
-	o = o.normalized()
-	roster, err := o.roster([]core.Scheme{
+	return rosterSpeedups(o, "Figure 19: write cancellation integration (normalised to baseline)", []core.Scheme{
 		core.Baseline(),
 		core.WC(),
 		core.LazyC(core.DefaultECPEntries),
 		core.WCLazyC(core.DefaultECPEntries),
 	})
-	if err != nil {
-		return nil, err
-	}
-	specs := rosterSpecs(o.Benchmarks, roster)
-	res, err := o.run(specs)
-	if err != nil {
-		return nil, err
-	}
-	get := lookup(specs, res)
-	cols := make([]string, len(roster))
-	for i, s := range roster {
-		cols[i] = s.Name
-	}
-	t := stats.NewTable("Figure 19: write cancellation integration (normalised to baseline)", cols...)
-	for _, b := range o.Benchmarks {
-		base := get(b, "baseline")
-		for _, s := range roster {
-			t.Set(b, s.Name, stats.Speedup(base.CPI, get(b, s.Name).CPI))
-		}
-	}
-	t.AddGeoMeanRow()
-	return t, nil
 }
 
 // Experiment is one named entry of the evaluation. The registry gives the

@@ -59,10 +59,6 @@ type Base struct {
 	// Result at every shard count, so points differing only in Shards are
 	// the same point.
 	Shards int
-	// BatchWindow caps the sharded executor's adaptive batch window (see
-	// sim.Config.BatchWindow; 0 = default). Like Shards it is NOT part of
-	// the cache key: it changes wall-clock speed, never the Result.
-	BatchWindow int
 	// Topology, when non-default, runs every point on the multi-module
 	// simulator (see sim.Config.Topology). Part of the cache key via its
 	// canonical rendering; nil keeps old keys (and stored results) valid.
@@ -119,7 +115,6 @@ func (s Spec) Resolve(b Base) sim.Config {
 		TraceEvents:    b.TraceEvents,
 		HeatmapRegions: b.HeatmapRegions,
 		Shards:         b.Shards,
-		BatchWindow:    b.BatchWindow,
 		Topology:       b.Topology,
 	}
 }

@@ -157,21 +157,19 @@ func (s *runState) encodeCheckpoint() []byte {
 		}
 		e.Bool(s.cfg.CheckIntegrity)
 		if s.cfg.CheckIntegrity {
-			merged := make(map[pcm.LineAddr]pcm.Line)
-			for _, sh := range m.exec.shadows() {
-				for a, l := range sh {
-					merged[a] = l
+			// One address-sorted list across the per-bank maps (each line
+			// lives in exactly one), so the bytes are shard-count invariant.
+			var addrs []pcm.LineAddr
+			for _, sh := range m.p.shadow {
+				for a := range sh {
+					addrs = append(addrs, a)
 				}
-			}
-			addrs := make([]pcm.LineAddr, 0, len(merged))
-			for a := range merged {
-				addrs = append(addrs, a)
 			}
 			slices.Sort(addrs)
 			e.Uvarint(uint64(len(addrs)))
 			for _, a := range addrs {
 				e.U64(uint64(a))
-				pcm.EncodeLine(e, merged[a])
+				pcm.EncodeLine(e, m.p.shadow[m.p.bankOf(a)][a])
 			}
 		}
 	}
@@ -283,13 +281,13 @@ func (s *runState) restoreCheckpoint(path string) ([]bool, error) {
 			return nil, resumeErr(fmt.Errorf("checkpoint integrity-shadow presence %t does not match this run's %t", hasShadow, s.cfg.CheckIntegrity))
 		}
 		if hasShadow {
-			// Direct worker-map writes are safe here: restore runs before
-			// the main loop posts any batch, and the first channel send
-			// orders these writes before all worker reads.
+			// Direct writes into the per-bank maps are safe here: restore
+			// runs before the main loop posts any op, and the first batch
+			// publication orders these writes before all worker reads.
 			n := d.Uvarint()
 			for i := uint64(0); i < n && d.Err() == nil; i++ {
 				a := pcm.LineAddr(d.U64())
-				m.exec.restoreShadow(a, pcm.DecodeLine(d))
+				m.p.shadow[m.p.bankOf(a)][a] = pcm.DecodeLine(d)
 			}
 		}
 	}

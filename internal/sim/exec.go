@@ -14,12 +14,13 @@ import (
 // bankExec executes memory-system operations against the bank plane. The
 // orchestrator (core model, address translation, wear leveling, mutation
 // drawing) issues ops in global program order; an executor must apply the
-// ops touching any one bank in exactly that order. Two implementations:
-// inlineExec applies every op at issue time on the calling goroutine
+// ops touching any one bank in exactly that order. Two implementations: the
+// *bankPlane itself applies every op at issue time on the calling goroutine
 // (Config.Shards <= 1); shardExec streams ops to per-shard-group goroutines
 // through SPSC rings under a conservative bounded-lag window (cores couple
 // shards only through blocking reads, which rendezvous, and posted writes,
-// which may lag).
+// which may lag). Either way the per-op work is the plane's read, write and
+// copyLine.
 type bankExec interface {
 	// read performs a blocking demand read and returns its completion time
 	// and data. logical keys the integrity shadow; err reports a shadow
@@ -31,9 +32,6 @@ type bankExec interface {
 	// copyLine posts a Start-Gap line copy (same bank: Start-Gap rotates
 	// slots within a row).
 	copyLine(now uint64, from, to pcm.LineAddr)
-	// ownerChange broadcasts an allocator region-ownership mutation, ordered
-	// before every op issued after it.
-	ownerChange(regionStart int, t alloc.Tag, present bool)
 	// hintRead tells the executor the next op will be a blocking read whose
 	// bank is not yet known (address translation still pending), so it can
 	// publish in-flight batches early and overlap their application with the
@@ -44,13 +42,6 @@ type bankExec interface {
 	barrier()
 	// close flushes and joins; the plane may be accessed directly after.
 	close()
-	// shadows returns the integrity shadow maps (post-close; nil entries
-	// when integrity checking is off).
-	shadows() []map[pcm.LineAddr]pcm.Line
-	// restoreShadow seeds one integrity-shadow entry during a checkpoint
-	// resume. Must only be called before any op has been posted: the first
-	// batch publication orders these writes before all worker reads.
-	restoreShadow(logical pcm.LineAddr, data pcm.Line)
 }
 
 // MaxShards bounds an explicit shard request: anything beyond the bank count
@@ -83,65 +74,6 @@ func ResolveShards(n, cores int) (int, error) {
 	return min(pcm.NumBanks, cores), nil
 }
 
-func integrityReadErr(logical pcm.LineAddr) error {
-	return fmt.Errorf("sim: integrity violation: read of line %d returned corrupted data", logical)
-}
-
-// inlineExec runs the per-bank-decomposed plane on the calling goroutine.
-// The live allocator is each controller's RegionResolver: ops execute at
-// issue time, when mirror state and allocator state would coincide anyway.
-type inlineExec struct {
-	p      *bankPlane
-	shadow map[pcm.LineAddr]pcm.Line
-}
-
-func newInlineExec(p *bankPlane, integrity bool) *inlineExec {
-	e := &inlineExec{p: p}
-	if integrity {
-		e.shadow = make(map[pcm.LineAddr]pcm.Line)
-	}
-	return e
-}
-
-func (e *inlineExec) read(now uint64, addr, logical pcm.LineAddr) (uint64, pcm.Line, error) {
-	done, data := e.p.ctrlFor(addr).Read(now, addr)
-	if e.shadow != nil {
-		if want, ok := e.shadow[logical]; ok && data != want {
-			return done, data, integrityReadErr(logical)
-		}
-	}
-	return done, data, nil
-}
-
-func (e *inlineExec) write(now uint64, addr, logical pcm.LineAddr, m workload.Mutation) {
-	ctrl := e.p.ctrlFor(addr)
-	data := pcm.Line(m.Apply([8]uint64(ctrl.LatestData(addr))))
-	ctrl.Write(now, addr, data)
-	if e.shadow != nil {
-		e.shadow[logical] = data
-	}
-}
-
-func (e *inlineExec) copyLine(now uint64, from, to pcm.LineAddr) {
-	ctrl := e.p.ctrlFor(to)
-	ctrl.Write(now, to, ctrl.LatestData(from))
-}
-
-func (e *inlineExec) ownerChange(int, alloc.Tag, bool) {} // live allocator resolves
-func (e *inlineExec) hintRead()                        {}
-func (e *inlineExec) barrier()                         {}
-func (e *inlineExec) close()                           {}
-
-func (e *inlineExec) shadows() []map[pcm.LineAddr]pcm.Line {
-	return []map[pcm.LineAddr]pcm.Line{e.shadow}
-}
-
-func (e *inlineExec) restoreShadow(logical pcm.LineAddr, data pcm.Line) {
-	if e.shadow != nil {
-		e.shadow[logical] = data
-	}
-}
-
 type opKind uint8
 
 const (
@@ -171,7 +103,6 @@ type readReply struct {
 type shardWorker struct {
 	ring    *opRing
 	replies chan readReply // cap 1: at most one outstanding read/barrier
-	shadow  map[pcm.LineAddr]pcm.Line
 	mirror  *tagMirror
 
 	// Producer side (orchestrator goroutine only). Slots in [ppub, ptail)
@@ -238,15 +169,10 @@ type shardExec struct {
 var batchBounds = []uint64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512}
 
 // newShardExec starts the workers. mirrors[s] must be the RegionResolver the
-// plane's shard-s controllers were built with.
-func newShardExec(p *bankPlane, mirrors []*tagMirror, cfg Config) *shardExec {
-	maxWin := uint64(windowDefault)
-	if cfg.BatchWindow > 0 {
-		maxWin = uint64(cfg.BatchWindow)
-	}
-	if maxWin > windowCeil {
-		maxWin = windowCeil
-	}
+// plane's shard-s controllers were built with. maxWin caps the adaptive
+// batch window: runs pass windowMax; tests shrink it to stress batch
+// boundaries. collect attaches the executor-behaviour registry.
+func newShardExec(p *bankPlane, mirrors []*tagMirror, collect bool, maxWin uint64) *shardExec {
 	e := &shardExec{
 		p:              p,
 		shards:         make([]*shardWorker, len(mirrors)),
@@ -254,7 +180,7 @@ func newShardExec(p *bankPlane, mirrors []*tagMirror, cfg Config) *shardExec {
 		maxWin:         maxWin,
 		barrierPending: make([]*shardWorker, 0, len(mirrors)),
 	}
-	if cfg.CollectMetrics || cfg.TraceEvents > 0 || cfg.SnapshotInterval > 0 {
+	if collect {
 		e.reg = metrics.New()
 		e.mBatches = e.reg.Counter("exec.batches_published")
 		e.mOps = e.reg.Counter("exec.ops_published")
@@ -272,20 +198,15 @@ func newShardExec(p *bankPlane, mirrors []*tagMirror, cfg Config) *shardExec {
 		e.reg.Gauge("exec.batch_window_max").Set(maxWin)
 		e.reg.Gauge("exec.ring_cap").Set(ringCap)
 	}
-	startWin := min(uint64(minBatch), maxWin)
 	for s := range e.shards {
-		w := &shardWorker{
+		e.shards[s] = &shardWorker{
 			ring:    newOpRing(),
 			replies: make(chan readReply, 1),
 			mirror:  mirrors[s],
-			window:  startWin,
+			window:  min(minBatch, maxWin),
 		}
-		if cfg.CheckIntegrity {
-			w.shadow = make(map[pcm.LineAddr]pcm.Line)
-		}
-		e.shards[s] = w
 		e.wg.Add(1)
-		go w.loop(p, &e.wg)
+		go e.shards[s].loop(p, &e.wg)
 	}
 	return e
 }
@@ -297,25 +218,12 @@ func (w *shardWorker) apply(p *bankPlane, i uint64) {
 	r := w.ring
 	switch r.kind[i] {
 	case opWrite:
-		ctrl := p.ctrlFor(r.addr[i])
-		data := pcm.Line(r.mut[i].Apply([8]uint64(ctrl.LatestData(r.addr[i]))))
-		ctrl.Write(r.now[i], r.addr[i], data)
-		if w.shadow != nil {
-			w.shadow[r.logical[i]] = data
-		}
+		p.write(r.now[i], r.addr[i], r.logical[i], r.mut[i])
 	case opRead:
-		ctrl := p.ctrlFor(r.addr[i])
-		done, data := ctrl.Read(r.now[i], r.addr[i])
-		var err error
-		if w.shadow != nil {
-			if want, ok := w.shadow[r.logical[i]]; ok && data != want {
-				err = integrityReadErr(r.logical[i])
-			}
-		}
+		done, data, err := p.read(r.now[i], r.addr[i], r.logical[i])
 		w.replies <- readReply{done: done, data: data, err: err}
 	case opCopy:
-		ctrl := p.ctrlFor(r.addr[i])
-		ctrl.Write(r.now[i], r.addr[i], ctrl.LatestData(pcm.LineAddr(r.aux[i])))
+		p.copyLine(r.now[i], pcm.LineAddr(r.aux[i]), r.addr[i])
 	case opTag:
 		region, tag, present := unpackTag(r.aux[i])
 		w.mirror.apply(region, tag, present)
@@ -388,7 +296,7 @@ func (e *shardExec) grab(w *shardWorker) uint64 {
 
 // stall blocks the orchestrator until the consumer frees a slot — the
 // bounded-lag window in action. Publishing first guarantees the consumer
-// has work (windowCeil < ringCap, so a full ring always holds published
+// has work (windowMax < ringCap, so a full ring always holds published
 // backlog once flushed).
 func (e *shardExec) stall(w *shardWorker) {
 	e.publish(w)
@@ -477,15 +385,14 @@ func (e *shardExec) read(now uint64, addr, logical pcm.LineAddr) (uint64, pcm.Li
 		e.stealPending(w)
 		w.window = minBatch
 		e.mInline.Inc()
-		done, data := e.p.ctrlFor(addr).Read(now, addr)
-		var err error
-		if w.shadow != nil {
-			if want, ok := w.shadow[logical]; ok && data != want {
-				err = integrityReadErr(logical)
-			}
-		}
-		return done, data, err
+		return e.p.read(now, addr, logical)
 	}
+	return e.rendezvous(w, now, addr, logical)
+}
+
+// rendezvous posts a demand read into w's op stream behind its backlog and
+// blocks until the worker replies.
+func (e *shardExec) rendezvous(w *shardWorker, now uint64, addr, logical pcm.LineAddr) (uint64, pcm.Line, error) {
 	i := e.grab(w)
 	r := w.ring
 	r.kind[i] = opRead
@@ -514,9 +421,7 @@ func (e *shardExec) write(now uint64, addr, logical pcm.LineAddr, m workload.Mut
 }
 
 func (e *shardExec) copyLine(now uint64, from, to pcm.LineAddr) {
-	// Start-Gap rotates a line within its row: from and to share a bank, so
-	// the copy is a single-shard op and LatestData(from) at application time
-	// sees exactly the bank state an inline copy would.
+	// from and to share a bank, so the copy is a single-shard op.
 	w := e.shardFor(to)
 	i := e.grab(w)
 	r := w.ring
@@ -527,10 +432,11 @@ func (e *shardExec) copyLine(now uint64, from, to pcm.LineAddr) {
 	e.advance(w)
 }
 
+// ownerChange broadcasts an allocator region-ownership mutation (it is the
+// allocator's OnOwnerChange hook), ordered before every op issued after it.
+// A marking region spans whole pages across every bank, so each shard's
+// mirror applies the update in-band.
 func (e *shardExec) ownerChange(regionStart int, t alloc.Tag, present bool) {
-	// A marking region spans whole pages across every bank, so ownership
-	// updates are broadcast: each shard's mirror applies them in-band, ahead
-	// of any op issued after the allocator mutated.
 	aux := packTag(regionStart, t, present)
 	for _, w := range e.shards {
 		i := e.grab(w)
@@ -618,22 +524,4 @@ func (e *shardExec) execMetrics() *metrics.Snapshot {
 	e.reg.Counter("exec.span_ops").Add(spanOps)
 	e.reg.Gauge("exec.span_ops_max").Set(spanMax)
 	return e.reg.Snapshot()
-}
-
-func (e *shardExec) shadows() []map[pcm.LineAddr]pcm.Line {
-	out := make([]map[pcm.LineAddr]pcm.Line, len(e.shards))
-	for i, w := range e.shards {
-		out[i] = w.shadow
-	}
-	return out
-}
-
-func (e *shardExec) restoreShadow(logical pcm.LineAddr, data pcm.Line) {
-	// The shadow is keyed by logical (pre-wear-leveling) address; wear
-	// leveling rotates a line within its row, so logical and remapped
-	// addresses share a bank and the owning shard is bank(logical) % N.
-	w := e.shardFor(logical)
-	if w.shadow != nil {
-		w.shadow[logical] = data
-	}
 }

@@ -23,11 +23,18 @@ import (
 type execSide struct {
 	p       *bankPlane
 	exec    bankExec
+	sharded *shardExec // nil on the inline side
 	mirror0 *tagMirror // inline only
 	mirrors []*tagMirror
 }
 
+// newExecSide builds the inline side (shards <= 1, the plane itself) or a
+// sharded side whose adaptive batch window is capped at windowMax.
 func newExecSide(t *testing.T, cfg Config, shards int) *execSide {
+	return newExecSideWindow(t, cfg, shards, windowMax)
+}
+
+func newExecSideWindow(t *testing.T, cfg Config, shards int, maxWin uint64) *execSide {
 	t.Helper()
 	root := rng.New(cfg.Seed)
 	dev, err := pcm.NewDevice(pcm.Config{
@@ -54,7 +61,8 @@ func newExecSide(t *testing.T, cfg Config, shards int) *execSide {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.exec = newShardExec(s.p, s.mirrors, cfg)
+		s.sharded = newShardExec(s.p, s.mirrors, cfg.collecting(), maxWin)
+		s.exec = s.sharded
 	} else {
 		s.mirror0 = newTagMirror(a)
 		resolve := func(bank int) mc.RegionResolver { return s.mirror0 }
@@ -62,7 +70,7 @@ func newExecSide(t *testing.T, cfg Config, shards int) *execSide {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.exec = newInlineExec(s.p, cfg.CheckIntegrity)
+		s.exec = s.p
 	}
 	return s
 }
@@ -75,7 +83,7 @@ func (s *execSide) ownerChange(region int, tg alloc.Tag, present bool) {
 		s.mirror0.apply(region, tg, present)
 		return
 	}
-	s.exec.ownerChange(region, tg, present)
+	s.sharded.ownerChange(region, tg, present)
 }
 
 // stateFingerprint closes the executor, flushes the plane and renders the
@@ -145,7 +153,7 @@ func TestExecBarrierAfterOwnerChange(t *testing.T) {
 	for round := 0; round < 50; round++ {
 		region := (round % 4) * cfg.RegionPages
 		tg := alloc.Tag{N: 1 + round%2, M: 2}
-		s.exec.ownerChange(region, tg, true)
+		s.sharded.ownerChange(region, tg, true)
 		s.exec.barrier()
 		for i, m := range s.mirrors {
 			if got := m.RegionTag(pcm.PageAddr(region)); got != tg {
@@ -154,7 +162,7 @@ func TestExecBarrierAfterOwnerChange(t *testing.T) {
 		}
 	}
 	// Retag to absent and re-check the broadcast propagates that too.
-	s.exec.ownerChange(0, alloc.Tag{N: 1, M: 2}, false)
+	s.sharded.ownerChange(0, alloc.Tag{N: 1, M: 2}, false)
 	s.exec.barrier()
 	for i, m := range s.mirrors {
 		if got := m.RegionTag(0); got != alloc.Tag11 {
@@ -178,7 +186,7 @@ func TestExecRandomizedBatchBoundaries(t *testing.T) {
 			cfg := execPairCfg()
 			cfg.CheckIntegrity = true
 			shards := []int{2, 3, 4, 8, 16}[r.Intn(5)]
-			cfg.BatchWindow = []int{1, 2, 3, 7, 31, 256}[r.Intn(6)]
+			window := []uint64{1, 2, 3, 7, 31, windowMax}[r.Intn(6)]
 			lines := 8 * pcm.LinesPerPage
 			const ops = 6000
 
@@ -239,18 +247,18 @@ func TestExecRandomizedBatchBoundaries(t *testing.T) {
 			}
 
 			inlineReads, inlineState := drive(newExecSide(t, cfg, 1), muts, kinds, addrs)
-			shardReads, shardState := drive(newExecSide(t, cfg, shards), muts, kinds, addrs)
+			shardReads, shardState := drive(newExecSideWindow(t, cfg, shards, window), muts, kinds, addrs)
 			if len(inlineReads) != len(shardReads) {
 				t.Fatalf("read count diverged: %d inline, %d sharded", len(inlineReads), len(shardReads))
 			}
 			for i := range inlineReads {
 				if inlineReads[i] != shardReads[i] {
 					t.Fatalf("read %d diverged (shards=%d window=%d): inline %+v, sharded %+v",
-						i, shards, cfg.BatchWindow, inlineReads[i], shardReads[i])
+						i, shards, window, inlineReads[i], shardReads[i])
 				}
 			}
 			if inlineState != shardState {
-				t.Fatalf("plane state diverged (shards=%d window=%d)", shards, cfg.BatchWindow)
+				t.Fatalf("plane state diverged (shards=%d window=%d)", shards, window)
 			}
 		})
 	}

@@ -167,12 +167,11 @@ func newModuleRun(cfg Config, pl topo.Placement, sub *rng.Rand) (*moduleRun, err
 	if err != nil {
 		return nil, err
 	}
+	m.exec = m.p
 	if shards > 1 {
-		se := newShardExec(m.p, m.mirrors, cfg)
+		se := newShardExec(m.p, m.mirrors, cfg.collecting(), windowMax)
 		allocator.OnOwnerChange = se.ownerChange
 		m.exec = se
-	} else {
-		m.exec = newInlineExec(m.p, cfg.CheckIntegrity)
 	}
 	return m, nil
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+
 	"sdpcm/internal/alloc"
 	"sdpcm/internal/ecp"
 	"sdpcm/internal/mc"
@@ -8,6 +10,7 @@ import (
 	"sdpcm/internal/pcm"
 	"sdpcm/internal/rng"
 	"sdpcm/internal/wd"
+	"sdpcm/internal/workload"
 )
 
 // bankPlane is the per-bank decomposition of a run's memory-system state:
@@ -25,12 +28,25 @@ import (
 // regardless of how banks are grouped onto goroutines. Aggregate results are
 // folded in fixed bank order 0..Banks-1. One plane covers one module; every
 // run builds one plane per module over that module's device geometry.
+//
+// The plane applies the per-op work (read, write, copyLine) for every
+// executor, and is itself the inline executor (Config.Shards <= 1): ops run
+// at issue time on the calling goroutine, so its controllers resolve (n:m)
+// tags through the live allocator, whose state at issue time is exactly
+// what a shard's tag mirror would hold.
 type bankPlane struct {
 	dev   *pcm.Device
 	geo   pcm.Geometry
 	ctrls []*mc.Controller
 	regs  []*metrics.Registry // nil entries when collection is off
 	hm    *wd.Heatmap         // nil when disabled; shared, bank-disjoint cells
+	// shadow is the integrity shadow (Config.CheckIntegrity): the data the
+	// cores last wrote to each line, one map per bank, keyed by logical
+	// (pre-wear-leveling) address. Start-Gap rotates a line within its row,
+	// so a logical address and its remapped slot share a bank, and each map
+	// is touched only by the goroutine that owns that bank. Nil when
+	// integrity checking is off.
+	shadow []map[pcm.LineAddr]pcm.Line
 }
 
 // newBankPlane builds the per-bank controllers over the device's bank
@@ -49,13 +65,18 @@ func newBankPlane(cfg Config, dev *pcm.Device, mcCfg func() mc.Config, resolve f
 	if cfg.HeatmapRegions > 0 {
 		p.hm = wd.NewHeatmapGeo(cfg.HeatmapRegions, dev.RowsPerBank, dev.Geometry())
 	}
-	collect := cfg.CollectMetrics || cfg.TraceEvents > 0 || cfg.SnapshotInterval > 0
+	if cfg.CheckIntegrity {
+		p.shadow = make([]map[pcm.LineAddr]pcm.Line, dev.Banks())
+		for b := range p.shadow {
+			p.shadow[b] = make(map[pcm.LineAddr]pcm.Line)
+		}
+	}
 	for b := range p.ctrls {
 		ctrl, err := mc.New(mcCfg(), dev, resolve(b), bankRngs[b])
 		if err != nil {
 			return nil, err
 		}
-		if collect {
+		if cfg.collecting() {
 			reg := metrics.New()
 			reg.EnableTrace(cfg.TraceEvents)
 			ctrl.Instrument(reg)
@@ -76,8 +97,44 @@ func (p *bankPlane) bankOf(a pcm.LineAddr) int { return p.geo.Locate(a).Bank }
 // ctrlFor returns the controller owning a line address.
 func (p *bankPlane) ctrlFor(a pcm.LineAddr) *mc.Controller { return p.ctrls[p.bankOf(a)] }
 
-// collecting reports whether metric registries are attached.
-func (p *bankPlane) collecting() bool { return p.regs[0] != nil }
+// read performs a blocking demand read and returns its completion time and
+// data. logical keys the integrity shadow; err reports a shadow mismatch.
+func (p *bankPlane) read(now uint64, addr, logical pcm.LineAddr) (uint64, pcm.Line, error) {
+	b := p.bankOf(addr)
+	done, data := p.ctrls[b].Read(now, addr)
+	if p.shadow != nil {
+		if want, ok := p.shadow[b][logical]; ok && data != want {
+			return done, data, fmt.Errorf("sim: integrity violation: read of line %d returned corrupted data", logical)
+		}
+	}
+	return done, data, nil
+}
+
+// write posts a write of the pre-drawn mutation applied to the line's
+// latest queued-or-stored content.
+func (p *bankPlane) write(now uint64, addr, logical pcm.LineAddr, m workload.Mutation) {
+	b := p.bankOf(addr)
+	ctrl := p.ctrls[b]
+	data := pcm.Line(m.Apply([8]uint64(ctrl.LatestData(addr))))
+	ctrl.Write(now, addr, data)
+	if p.shadow != nil {
+		p.shadow[b][logical] = data
+	}
+}
+
+// copyLine posts a Start-Gap line copy. from and to share a bank (Start-Gap
+// rotates slots within a row), so LatestData(from) sees exactly the bank
+// state program order implies.
+func (p *bankPlane) copyLine(now uint64, from, to pcm.LineAddr) {
+	ctrl := p.ctrlFor(to)
+	ctrl.Write(now, to, ctrl.LatestData(from))
+}
+
+// As the inline executor the plane has no backlog: nothing to publish early,
+// quiesce or join.
+func (p *bankPlane) hintRead() {}
+func (p *bankPlane) barrier()  {}
+func (p *bankPlane) close()    {}
 
 // mergedStats folds the per-bank module counters in bank order. Only valid
 // when no shard goroutine is active (quiesced or joined).

@@ -12,18 +12,17 @@ import (
 // shard may lag the orchestrator (the conservative window of DESIGN.md §8):
 // the orchestrator stalls rather than let a shard fall further behind,
 // keeping memory bounded without affecting results (order per bank, not
-// timing, determines state). windowCeil < ringCap guarantees that whenever
+// timing, determines state). windowMax < ringCap guarantees that whenever
 // the ring is full at least one full batch is already published, so a
 // stalled producer always has a consumer making progress toward freeing
 // slots.
 const (
 	ringCap  = 1024 // slots per shard ring; must be a power of two
 	ringMask = ringCap - 1
-	// minBatch seeds the adaptive window after every demand read;
-	// windowDefault caps its growth unless Config.BatchWindow overrides.
-	minBatch      = 16
-	windowDefault = 256
-	windowCeil    = ringCap / 2
+	// minBatch seeds the adaptive window after every demand read; the
+	// window doubles on each full publication up to windowMax.
+	minBatch  = 16
+	windowMax = 256
 	// headChunk bounds how many ops the consumer applies between head
 	// publications, so a producer stalled on a full ring resumes promptly.
 	headChunk = 64

@@ -73,14 +73,6 @@ type Config struct {
 	// across every shard count and GOMAXPROCS: sharding changes wall-clock
 	// speed, never simulated behavior.
 	Shards int
-	// BatchWindow caps the sharded executor's adaptive batch window: the
-	// number of ops a shard accumulates before a publication when no demand
-	// read is pending (the window starts small and doubles up to this cap,
-	// resetting on every read). 0 selects the default (256); values are
-	// clamped to the ring's safe ceiling. Like Shards it can change
-	// wall-clock speed only, never simulated behavior, so it is excluded
-	// from result caching and checkpoint identity.
-	BatchWindow int
 	// Seed drives every stochastic element of the run.
 	Seed uint64
 	// CoreTags overrides the allocator tag per core (§4.4's usage model:
@@ -141,6 +133,12 @@ type Config struct {
 	// validation failures wrap ErrResume so callers can fall back to a
 	// cold start.
 	ResumeFrom string
+}
+
+// collecting reports whether the run attaches metric registries: explicit
+// collection, an event tail and mid-run snapshots all need them.
+func (c Config) collecting() bool {
+	return c.CollectMetrics || c.TraceEvents > 0 || c.SnapshotInterval > 0
 }
 
 func (c Config) normalized() Config {
@@ -462,7 +460,12 @@ func Run(cfg Config) (Result, error) {
 		c := h[0]
 		rec, ok := c.stream.Next()
 		if !ok {
-			heap.Pop(&h) // replayed trace exhausted
+			// A replayed trace ended: cleanly, or on a decode failure that a
+			// streaming reader reports through Err.
+			if s, ok := c.stream.(interface{ Err() error }); ok && s.Err() != nil {
+				return Result{}, fmt.Errorf("sim: core %d: trace: %w", c.id, s.Err())
+			}
+			heap.Pop(&h)
 			continue
 		}
 		// Non-memory instructions: 1 cycle each on the in-order core.
@@ -549,7 +552,7 @@ func Run(cfg Config) (Result, error) {
 	}
 	if cfg.CheckIntegrity {
 		for _, m := range mods {
-			for _, sh := range m.exec.shadows() {
+			for _, sh := range m.p.shadow {
 				for logical, want := range sh {
 					if got := m.p.ctrlFor(remap(logical)).PeekData(remap(logical)); got != want {
 						return Result{}, fmt.Errorf("sim: integrity violation: module %s line %d corrupted after flush (WD escaped VnC)", m.pl.Name, logical)
@@ -582,7 +585,7 @@ func Run(cfg Config) (Result, error) {
 			res.Modules = append(res.Modules, mr)
 		}
 	}
-	if mods[0].p.collecting() {
+	if cfg.collecting() {
 		res.Metrics = assembleSnapshot(mods, cfg.TraceEvents, sumCounters(res.Cycles))
 		if cfg.OnSnapshot != nil {
 			cfg.OnSnapshot(res.Metrics)
