@@ -63,14 +63,15 @@ func (c *Controller) executeWrite(b *bank, e *writeEntry) int {
 	// --- 1. Pre-write reads (charged as verification). ---
 	if e.verifyTop || e.verifyBelow {
 		missing := 0
+		// The entry is already popped, so nothing reads the pre-read
+		// buffers after this point: the reads occupy the array but their
+		// data is not kept.
 		if e.verifyTop && !e.prTop {
-			e.bufTop = c.dev.Read(e.top)
-			e.prTop = true
+			c.dev.CountRead(e.top)
 			missing++
 		}
 		if e.verifyBelow && !e.prBelow {
-			e.bufBelow = c.dev.Read(e.below)
-			e.prBelow = true
+			c.dev.CountRead(e.below)
 			missing++
 		}
 		if missing == 0 {

@@ -161,19 +161,3 @@ func (g Geometry) AdjacentLines(a LineAddr, rowsPerBank int) (above, below LineA
 	}
 	return
 }
-
-// bankLocal maps a line address to its bank and bank-local line index
-// (row*LinesPerPage+slot). Bank count and LinesPerPage are powers of two,
-// so the arithmetic is shifts and masks.
-func (g Geometry) bankLocal(a LineAddr) (bank, local int) {
-	page := uint64(a) / LinesPerPage
-	bank = int(page & uint64(g.banks-1))
-	local = int(page>>g.shift)*LinesPerPage + int(uint64(a)%LinesPerPage)
-	return
-}
-
-// globalAddr inverts bankLocal.
-func (g Geometry) globalAddr(bank, local int) LineAddr {
-	row, slot := uint64(local/LinesPerPage), uint64(local%LinesPerPage)
-	return LineAddr((row<<g.shift|uint64(bank))*LinesPerPage + slot)
-}

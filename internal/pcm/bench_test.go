@@ -100,3 +100,63 @@ func BenchmarkDeviceDisturb(b *testing.B) {
 		d.Disturb(addrs[i%len(addrs)], flips)
 	}
 }
+
+// BenchmarkDeviceNeighbourhood measures one write's device access set on an
+// sdpcm-sim sized device (2^17 pages): Write the target, Peek and Disturb
+// its bit-line neighbours (rows r±1), Peek its word-line neighbours (slots
+// s±1). The 32k scattered targets span more storage than a last-level
+// cache holds, so how many chunks a neighbourhood spreads over shows up as
+// cache misses — which the 512-page micros above, fitting in cache, cannot
+// see.
+func BenchmarkDeviceNeighbourhood(b *testing.B) {
+	d, err := NewDevice(Config{Pages: 1 << 17, FillSeed: 7})
+	if err != nil {
+		b.Fatal(err)
+	}
+	type hood struct{ a, up, down, left, right LineAddr }
+	targets := benchAddrs(d, 1<<15)
+	hoods := make([]hood, len(targets))
+	for i, a := range targets {
+		h := hood{a, a, a, a, a}
+		above, below, okA, okB := d.Geometry().AdjacentLines(a, d.RowsPerBank)
+		if okA {
+			h.up = above
+		}
+		if okB {
+			h.down = below
+		}
+		if a.Slot() > 0 {
+			h.left = a - 1
+		}
+		if a.Slot() < LinesPerPage-1 {
+			h.right = a + 1
+		}
+		hoods[i] = h
+	}
+	datas := [2]Line{{0x0123456789abcdef, 1, 2, 3}, {0xfedcba9876543210, 4, 5, 6}}
+	var flips Mask
+	flips.SetBit(17)
+	flips.SetBit(300)
+	var sink Line
+	op := func(i int) {
+		h := &hoods[i%len(hoods)]
+		d.Write(h.a, datas[i/len(hoods)&1], NormalWrite)
+		sink = d.Peek(h.up)
+		d.Disturb(h.up, flips)
+		sink = d.Peek(h.down)
+		d.Disturb(h.down, flips)
+		sink = d.Peek(h.left)
+		sink = d.Peek(h.right)
+	}
+	// Warm up: materialize every neighbourhood so the loop measures the
+	// steady-state access path, not one-time storage setup.
+	for i := range hoods {
+		op(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+	_ = sink
+}

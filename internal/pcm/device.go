@@ -88,16 +88,55 @@ type bankStats struct {
 	_ [64 - (8*7)%64]byte
 }
 
-// chunkLines is the number of lines in one lazily materialized storage
-// chunk. 16 lines (1 KB of cell data) balances dense-access locality
-// against the zeroing cost of materializing a chunk for workloads that
-// touch rows sparsely; profiles of sim.Run showed 64-line chunks spending
-// more on memclr than the indexed access path saved.
+// A chunk is one lazily materialized block of storage: a tile of
+// tileRows consecutive rows × tileSlots consecutive slots of one bank. Every
+// write touches a fixed neighbourhood — its bit-line victims in rows r±1
+// and its word-line edge victims in slots s±1 — and with 4×4 tiles that
+// neighbourhood mostly lies in the chunk the write itself materialized
+// (EXPERIMENTS.md, "Device tiling", has the shapes measured). 16 lines
+// (1 KB of cell data) balances dense-access locality against the zeroing
+// cost of materializing a chunk for workloads that touch rows sparsely;
+// profiles of sim.Run showed 64-line chunks spending more on memclr than
+// the indexed access path saved.
 const (
-	chunkLines = 16
-	chunkShift = 4
-	chunkMask  = chunkLines - 1
+	tileRowShift  = 2
+	tileSlotShift = 2
+	tileRows      = 1 << tileRowShift
+	tileSlots     = 1 << tileSlotShift
+	chunkLines    = tileRows * tileSlots
+
+	// slotShift is log2(LinesPerPage): a line address is page<<slotShift|slot.
+	slotShift = 6
+	// tileColShift is log2 of the tiles across one row.
+	tileColShift = slotShift - tileSlotShift
+
+	// The residency word of a chunk holds two chunkLines-bit maps: bit i
+	// marks lines[i] resident, bit touchedShift+i marks line i touched —
+	// materialized by Write, Disturb, Side or a checkpoint, which is what
+	// would have materialized its row-major chunk. The checkpoint format
+	// is row-major (state.go) and emits exactly the touched chunks.
+	touchedShift = chunkLines
 )
+
+// tile maps a line address to its bank, the bank-local index of its chunk
+// and its index inside the chunk. Bank count, LinesPerPage and the tile
+// sides are powers of two, so the arithmetic is shifts and masks.
+func (g Geometry) tile(a LineAddr) (bank, ci, idx int) {
+	page := uint64(a) >> slotShift
+	slot := uint64(a) & (LinesPerPage - 1)
+	row := page >> g.shift
+	bank = int(page & uint64(g.banks-1))
+	ci = int(row>>tileRowShift<<tileColShift | slot>>tileSlotShift)
+	idx = int((row&(tileRows-1))<<tileSlotShift | slot&(tileSlots-1))
+	return
+}
+
+// tileAddr inverts tile.
+func (g Geometry) tileAddr(bank, ci, idx int) LineAddr {
+	row := uint64(ci>>tileColShift)<<tileRowShift | uint64(idx>>tileSlotShift)
+	slot := uint64(ci&(1<<tileColShift-1))<<tileSlotShift | uint64(idx&(tileSlots-1))
+	return LineAddr((row<<g.shift|uint64(bank))<<slotShift | slot)
+}
 
 // Side is the controller-side state of one line, kept beside its cells in
 // the line's chunk rather than in a table keyed by address: the word-line
@@ -114,7 +153,8 @@ type Side struct {
 // sparse access patterns never pay for background content they don't read.
 type lineChunk struct {
 	// resident bit i set: lines[i] holds device content. Clear: the line is
-	// still untouched and reads as its background pattern.
+	// still untouched and reads as its background pattern. The bits from
+	// touchedShift up are the chunk's touched map.
 	resident uint64
 	// side sits beside the residency bitmap every access reads, so a
 	// line's side word is usually in a cache line already loaded.
@@ -132,10 +172,11 @@ type lineChunk struct {
 // also carries its lines' controller side state (Side), so per-line codec
 // and ECP state needs no table of its own.
 //
-// Bank-local layout: line a lives in bank Locate(a).Bank at local index
-// row*LinesPerPage+slot, so physically adjacent rows (the bit-line WD
-// victims, rows r±1) are LinesPerPage local lines apart and land in the
-// same or a neighbouring chunk.
+// Bank-local layout: line a lives in bank Locate(a).Bank, in the chunk of
+// the 4×4 tile holding its (row, slot) (see tile). A write's bit-line
+// victims (rows r±1) and word-line edge victims (slots s±1) share its chunk
+// unless the line sits on the tile's border: a line on a tile corner reaches
+// at most three chunks.
 //
 // Device is purely functional/data-level; command timing and scheduling live
 // in the memory controller (internal/mc).
@@ -209,7 +250,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	}
 	d.linesPerBank = d.RowsPerBank * LinesPerPage
 	d.numLines = d.linesPerBank * nbanks
-	chunksPerBank := (d.linesPerBank + chunkLines - 1) / chunkLines
+	chunksPerBank := (d.RowsPerBank + tileRows - 1) >> tileRowShift << tileColShift
 	for b := range d.banks {
 		d.banks[b] = make([]*lineChunk, chunksPerBank)
 	}
@@ -240,7 +281,7 @@ func (d *Device) BankStats(bank int) Stats { return d.stats[bank].Stats }
 // it — the controller's read-combining paths serve data from queue state but
 // still occupy the array (verification, cascade and pre-reads).
 func (d *Device) CountRead(a LineAddr) {
-	bank, _ := d.geo.bankLocal(a)
+	bank, _, _ := d.geo.tile(a)
 	d.stats[bank].Reads++
 }
 
@@ -255,11 +296,16 @@ func (d *Device) contains(a LineAddr) bool { return uint64(a) < uint64(d.numLine
 
 // background returns the deterministic initial content of a line.
 func (d *Device) background(a LineAddr) Line {
-	var l Line
 	if d.zeroFill {
-		return l
+		return Line{}
 	}
-	state := d.fillSeed ^ (uint64(a)+1)*0x9e3779b97f4a7c15
+	return fillLine(d.fillSeed, a)
+}
+
+// fillLine is the pseudo-random background pattern of line a under seed.
+func fillLine(seed uint64, a LineAddr) Line {
+	var l Line
+	state := seed ^ (uint64(a)+1)*0x9e3779b97f4a7c15
 	for i := range l {
 		state += 0x9e3779b97f4a7c15
 		z := state
@@ -305,15 +351,14 @@ func (d *Device) materializeChunk(bank, ci int) *lineChunk {
 // line returns a pointer to the stored image of a line, materializing its
 // chunk and its background content on first touch.
 func (d *Device) line(a LineAddr) *Line {
-	bank, local := d.geo.bankLocal(a)
-	ch := d.banks[bank][local>>chunkShift]
+	bank, ci, idx := d.geo.tile(a)
+	ch := d.banks[bank][ci]
 	if ch == nil {
-		ch = d.materializeChunk(bank, local>>chunkShift)
+		ch = d.materializeChunk(bank, ci)
 	}
-	idx := local & chunkMask
 	l := &ch.lines[idx]
 	if ch.resident&(1<<idx) == 0 {
-		ch.resident |= 1 << idx
+		ch.resident |= (1 | 1<<touchedShift) << idx
 		if !d.zeroFill {
 			*l = d.background(a)
 		}
@@ -327,11 +372,9 @@ func (d *Device) line(a LineAddr) *Line {
 // scans stay cheap on memory.
 func (d *Device) Peek(a LineAddr) Line {
 	d.checkRange(a)
-	bank, local := d.geo.bankLocal(a)
-	if ch := d.banks[bank][local>>chunkShift]; ch != nil {
-		if idx := local & chunkMask; ch.resident&(1<<idx) != 0 {
-			return ch.lines[idx]
-		}
+	bank, ci, idx := d.geo.tile(a)
+	if ch := d.banks[bank][ci]; ch != nil && ch.resident&(1<<idx) != 0 {
+		return ch.lines[idx]
 	}
 	return d.background(a)
 }
@@ -342,12 +385,13 @@ func (d *Device) Peek(a LineAddr) Line {
 // addresses.
 func (d *Device) Side(a LineAddr) *Side {
 	d.checkRange(a)
-	bank, local := d.geo.bankLocal(a)
-	ch := d.banks[bank][local>>chunkShift]
+	bank, ci, idx := d.geo.tile(a)
+	ch := d.banks[bank][ci]
 	if ch == nil {
-		ch = d.materializeChunk(bank, local>>chunkShift)
+		ch = d.materializeChunk(bank, ci)
 	}
-	return &ch.side[local&chunkMask]
+	ch.resident |= 1 << (touchedShift + idx)
+	return &ch.side[idx]
 }
 
 // PeekSide returns a line's side state without materializing storage: a
@@ -355,15 +399,15 @@ func (d *Device) Side(a LineAddr) *Side {
 // addresses.
 func (d *Device) PeekSide(a LineAddr) Side {
 	d.checkRange(a)
-	bank, local := d.geo.bankLocal(a)
-	if ch := d.banks[bank][local>>chunkShift]; ch != nil {
-		return ch.side[local&chunkMask]
+	bank, ci, idx := d.geo.tile(a)
+	if ch := d.banks[bank][ci]; ch != nil {
+		return ch.side[idx]
 	}
 	return Side{}
 }
 
 // VisitAux calls fn for every line of the bank whose polarity word is
-// nonzero, in bank-local order.
+// nonzero, in storage order: tile by tile, not by address.
 func (d *Device) VisitAux(bank int, fn func(a LineAddr, aux uint32)) {
 	for ci, ch := range d.banks[bank] {
 		if ch == nil {
@@ -371,7 +415,7 @@ func (d *Device) VisitAux(bank int, fn func(a LineAddr, aux uint32)) {
 		}
 		for i, s := range ch.side {
 			if s.Aux != 0 {
-				fn(d.geo.globalAddr(bank, ci<<chunkShift|i), s.Aux)
+				fn(d.geo.tileAddr(bank, ci, i), s.Aux)
 			}
 		}
 	}
@@ -395,7 +439,7 @@ type WriteResult struct {
 // the pulse maps and bank occupancy. kind attributes the wear.
 func (d *Device) Write(a LineAddr, new Line, kind WriteKind) WriteResult {
 	d.checkRange(a)
-	bank, _ := d.geo.bankLocal(a)
+	bank, _, _ := d.geo.tile(a)
 	l := d.line(a)
 	// Fused differential write: one pass computes both pulse maps, their
 	// popcounts and the stored update (DiffMasks + 2×PopCount + copy would
@@ -429,9 +473,8 @@ func (d *Device) Write(a LineAddr, new Line, kind WriteKind) WriteResult {
 // unmaterialized.
 func (d *Device) Disturb(a LineAddr, flips Mask) int {
 	d.checkRange(a)
-	bank, local := d.geo.bankLocal(a)
-	ch := d.banks[bank][local>>chunkShift]
-	idx := local & chunkMask
+	bank, ci, idx := d.geo.tile(a)
+	ch := d.banks[bank][ci]
 	n := 0
 	if ch != nil && ch.resident&(1<<idx) != 0 {
 		l := &ch.lines[idx]
@@ -452,9 +495,9 @@ func (d *Device) Disturb(a LineAddr, flips Mask) int {
 			// Materialize directly from the background image already in hand
 			// rather than through line(), which would recompute it.
 			if ch == nil {
-				ch = d.materializeChunk(bank, local>>chunkShift)
+				ch = d.materializeChunk(bank, ci)
 			}
-			ch.resident |= 1 << idx
+			ch.resident |= (1 | 1<<touchedShift) << idx
 			l := &ch.lines[idx]
 			for i := range flips {
 				l[i] = bg[i] | flips[i]

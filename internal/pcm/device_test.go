@@ -258,8 +258,8 @@ func TestDisturbDoesNotMaterializeOnNoop(t *testing.T) {
 	if d.banks[0] == nil {
 		t.Fatal("bank table missing")
 	}
-	bank, local := d.geo.bankLocal(a)
-	if d.banks[bank][local>>chunkShift] != nil {
+	bank, ci, _ := d.geo.tile(a)
+	if d.banks[bank][ci] != nil {
 		t.Fatal("no-op disturb materialized a chunk")
 	}
 	// Now flip an amorphous cell: the chunk materializes and holds bg|flip.
@@ -273,8 +273,90 @@ func TestDisturbDoesNotMaterializeOnNoop(t *testing.T) {
 	if n := d.Disturb(a, eff); n != 1 {
 		t.Fatalf("effective disturb flipped %d cells, want 1", n)
 	}
-	if d.banks[bank][local>>chunkShift] == nil {
+	if d.banks[bank][ci] == nil {
 		t.Fatal("effective disturb did not materialize the chunk")
+	}
+}
+
+// TestTileIndex: tile is a bijection from a device's lines onto (bank,
+// chunk, index) slots inside the chunk table, tileAddr inverts it, and a
+// chunk holds 4 consecutive rows × 4 consecutive slots of one bank — also
+// when the row count is not a multiple of 4.
+func TestTileIndex(t *testing.T) {
+	if 1<<slotShift != LinesPerPage {
+		t.Fatalf("slotShift %d does not match LinesPerPage %d", slotShift, LinesPerPage)
+	}
+	for _, banks := range []int{1, 4, 16} {
+		d, err := NewDevice(Config{Pages: banks * 7, Banks: banks})
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[[3]int]bool{}
+		for a := LineAddr(0); a < LineAddr(d.Lines()); a++ {
+			bank, ci, idx := d.geo.tile(a)
+			loc := d.geo.Locate(a)
+			if bank != loc.Bank || ci >= len(d.banks[bank]) || idx >= chunkLines || seen[[3]int{bank, ci, idx}] {
+				t.Fatalf("banks=%d: line %d maps to bank %d chunk %d index %d", banks, a, bank, ci, idx)
+			}
+			seen[[3]int{bank, ci, idx}] = true
+			if want := (loc.Row/4)*(LinesPerPage/4) + loc.Slot/4; ci != want || idx != loc.Row%4*4+loc.Slot%4 {
+				t.Fatalf("banks=%d: line %d (row %d slot %d) in chunk %d index %d", banks, a, loc.Row, loc.Slot, ci, idx)
+			}
+			if back := d.geo.tileAddr(bank, ci, idx); back != a {
+				t.Fatalf("banks=%d: tileAddr(tile(%d)) = %d", banks, a, back)
+			}
+		}
+	}
+}
+
+// chunks counts the device's materialized chunks.
+func (d *Device) chunks() int {
+	n := 0
+	for _, tiles := range d.banks {
+		for _, ch := range tiles {
+			if ch != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// TestWriteNeighbourhoodSharesChunk pins the tiled layout: one write's
+// access set — Write and Side of the target, an effective Disturb of its
+// bit-line neighbours (rows r±1) and a Peek of its word-line neighbours
+// (slots s±1) — materializes a single chunk for a line inside its 4×4 tile.
+// A line on the tile's top or bottom edge has one bit-line neighbour across
+// the border and materializes two; word-line neighbours across a side
+// border are only peeked, which materializes nothing.
+func TestWriteNeighbourhoodSharesChunk(t *testing.T) {
+	for _, c := range []struct{ row, slot, want int }{
+		{5, 9, 1},   // interior: rows 4..7, slots 8..11
+		{6, 38, 1},  // interior
+		{4, 8, 2},   // top-left corner: row 3 is in the tile above
+		{7, 11, 2},  // bottom-right corner: row 8 is in the tile below
+		{0, 0, 1},   // first row and slot: no neighbour outside the tile
+		{12, 63, 2}, // top-right corner: row 11 is in the tile above
+	} {
+		d := newTestDevice(t, 16*16, true)
+		a := AddrOf(Loc{Bank: 5, Row: c.row, Slot: c.slot})
+		d.Write(a, Line{1}, NormalWrite)
+		d.Side(a).Aux = 1
+		var flip Mask
+		flip.SetBit(9)
+		above, below, okA, okB := AdjacentLines(a, d.RowsPerBank)
+		if okA && d.Disturb(above, flip) != 1 || okB && d.Disturb(below, flip) != 1 {
+			t.Fatal("disturbing an all-zero neighbour must flip one cell")
+		}
+		if c.slot > 0 {
+			d.Peek(a - 1)
+		}
+		if c.slot < LinesPerPage-1 {
+			d.Peek(a + 1)
+		}
+		if got := d.chunks(); got != c.want {
+			t.Errorf("row %d slot %d: neighbourhood materialized %d chunks, want %d", c.row, c.slot, got, c.want)
+		}
 	}
 }
 

@@ -202,13 +202,19 @@ func (e *Engine) OnWrite(dev *pcm.Device, a pcm.LineAddr, old, new pcm.Line, res
 // edgeFlips disturbs the edge cells of a horizontally adjacent line. For
 // each chip segment with an aggressor, the victim is the neighbour line's
 // cell at offsetInSeg of that segment; it flips if amorphous. Flips are
-// healed in place (net array change: none) and counted.
+// healed in place (net array change: none) and counted. The neighbour is
+// read only once a segment has an aggressor: without one no cell is at
+// risk and no random draw is made.
 func (e *Engine) edgeFlips(dev *pcm.Device, neighbour pcm.LineAddr, aggressor [pcm.LineBits / din.SegmentBits]bool, offsetInSeg int) int {
-	content := dev.Peek(neighbour)
+	var content pcm.Line
+	peeked := false
 	n := 0
 	for seg, agg := range aggressor {
 		if !agg {
 			continue
+		}
+		if !peeked {
+			content, peeked = dev.Peek(neighbour), true
 		}
 		bit := seg*din.SegmentBits + offsetInSeg
 		if content.Bit(bit) == 0 && e.rnd.Bernoulli(e.Rates.WordLine) {
