@@ -68,55 +68,15 @@ func shardsString(opts sdpcm.ExperimentOptions) string {
 // API never drift apart.
 var experiments = sdpcm.Experiments()
 
-// tally accumulates sweep-point events for one experiment's summary line.
-type tally struct {
-	points, cached int
-	simWall        time.Duration
-}
-
-func (t *tally) PointDone(ev sdpcm.SweepEvent) {
-	t.points++
-	if ev.Cached {
-		t.cached++
-	} else {
-		t.simWall += ev.Wall
+// sectionLine is the per-experiment stderr summary, read from the sweep
+// fold's progress section for that experiment.
+func sectionLine(name string, wall time.Duration, sec obs.ExperimentProgress, heap string) string {
+	wall = wall.Round(time.Millisecond)
+	if sec.Done == 0 {
+		return fmt.Sprintf("(%s completed in %v, %s)", name, wall, heap)
 	}
-}
-
-// aggregator folds every completed point's metrics snapshot (and, when
-// enabled, its WD heatmap) into one cross-sweep aggregate. Merging is
-// commutative (counters and histogram buckets sum, gauges keep the max,
-// heatmap cells sum), so the aggregate is deterministic regardless of worker
-// count or completion order.
-type aggregator struct {
-	merged *sdpcm.MetricsSnapshot
-	heat   *sdpcm.HeatmapSnapshot
-	// publish, when set, receives a copy of the running aggregate after each
-	// point — the live /metrics feed. The copy is shallow: Merge builds fresh
-	// slices for the next aggregate, so a published snapshot is never written
-	// again.
-	publish func(*sdpcm.MetricsSnapshot)
-}
-
-func (a *aggregator) PointDone(ev sdpcm.SweepEvent) {
-	if ev.Err != nil || ev.Result == nil {
-		return
-	}
-	a.heat = a.heat.Merge(ev.Result.Heatmap)
-	if ev.Result.Metrics == nil {
-		return
-	}
-	a.merged = a.merged.Merge(ev.Result.Metrics)
-	if a.publish != nil && a.merged != nil {
-		cp := *a.merged
-		a.publish(&cp)
-	}
-}
-
-func (t *tally) reset() tally {
-	out := *t
-	*t = tally{}
-	return out
+	return fmt.Sprintf("(%s completed in %v: %d points, %d simulated, %d cache hits, %d store hits, %s)",
+		name, wall, sec.Done, sec.Simulated(), sec.Cached, sec.Stored, heap)
 }
 
 func main() { os.Exit(run()) }
@@ -187,19 +147,26 @@ func run() int {
 	if *calibrate {
 		return runCalibrate(*refs, *seed)
 	}
-	opts := sdpcm.ExperimentOptions{
-		RefsPerCore:     *refs,
-		Cores:           *cores,
-		Seed:            *seed,
-		MemPages:        *memMB * 256, // 4KB pages
-		RegionPages:     *region,
-		Parallel:        *parallel,
-		Shards:          nshards,
+	// One executor for the whole invocation: its memo cache spans
+	// experiments, so points shared between figures simulate once.
+	exec := &sdpcm.SweepRunner{
+		Workers:         *parallel,
 		NoCache:         *noCache,
-		CollectMetrics:  *metricf != "" || *benchOut != "" || *listen != "",
-		TraceEvents:     *trEv,
 		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEvery,
+	}
+	opts := sdpcm.ExperimentOptions{
+		Base: sdpcm.SweepBase{
+			RefsPerCore:    *refs,
+			Cores:          *cores,
+			Seed:           *seed,
+			MemPages:       *memMB * 256, // 4KB pages
+			RegionPages:    *region,
+			Shards:         nshards,
+			CollectMetrics: *metricf != "" || *benchOut != "" || *listen != "",
+			TraceEvents:    *trEv,
+		},
+		Exec: exec,
 	}
 	if *heatTab || *heatOut != "" {
 		opts.HeatmapRegions = *heatReg
@@ -217,7 +184,7 @@ func run() int {
 		} else if n > 0 {
 			logger.Info("result store pruned", "entries", n, "bytes_freed", freed)
 		}
-		opts.Store = store
+		exec.Store = store
 	} else if *storeMaxB > 0 || *storeAge > 0 {
 		fmt.Fprintf(os.Stderr, "sdpcm-bench: -store-max-bytes/-store-max-age require -result-store (usage: -result-store DIR -store-max-bytes N)\n")
 		return 2
@@ -256,13 +223,10 @@ func run() int {
 			opts.Schemes = append(opts.Schemes, s)
 		}
 	}
-	counts := &tally{}
-	agg := &aggregator{}
-	observers := []sdpcm.SweepObserver{counts, agg}
-	if *progress {
-		observers = append(observers, sdpcm.SweepProgress(os.Stderr))
-	}
-	var tracker *sdpcm.ObsProgress
+	// The one fold of the sweep's points: per-experiment sections, the
+	// deterministic merged metrics and heatmap, and the live event ring the
+	// -listen server renders.
+	sweep := &sdpcm.ObsSweep{}
 	if *listen != "" {
 		srv := sdpcm.NewObsServer()
 		addr, err := srv.Start(*listen)
@@ -272,14 +236,12 @@ func run() int {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "obs: listening on http://%s\n", addr)
-		agg.publish = srv.SetSnapshot
-		tracker = srv.Progress()
-		observers = append(observers, tracker)
+		sweep = srv.Sweep()
 	}
-	opts.Observer = sdpcm.SweepMulti(observers...)
-	// One executor for the whole invocation: its memo cache spans
-	// experiments, so points shared between figures simulate once.
-	opts.Exec = sdpcm.NewSweepRunner(opts)
+	opts.Observer = sweep
+	if *progress {
+		opts.Observer = sdpcm.SweepMulti(sweep, sdpcm.SweepProgress(os.Stderr))
+	}
 
 	want := map[string]bool{}
 	runAll := *exp == "all"
@@ -309,9 +271,7 @@ func run() int {
 			continue
 		}
 		ranExps = append(ranExps, e.Name)
-		if tracker != nil {
-			tracker.Begin(e.Name)
-		}
+		sweep.Begin(e.Name)
 		expStart := time.Now()
 		tb, err := e.Run(opts)
 		if err != nil {
@@ -320,20 +280,15 @@ func run() int {
 		}
 		fmt.Println(tb)
 		fmt.Println()
-		c := counts.reset()
-		if c.points > 0 {
-			fmt.Fprintf(os.Stderr, "(%s completed in %v: %d points, %d simulated, %d cache hits, %s)\n",
-				e.Name, time.Since(expStart).Round(time.Millisecond),
-				c.points, c.points-c.cached, c.cached, heapString())
-		} else {
-			fmt.Fprintf(os.Stderr, "(%s completed in %v, %s)\n",
-				e.Name, time.Since(expStart).Round(time.Millisecond), heapString())
-		}
+		secs := sweep.Progress().Experiments
+		sec := secs[len(secs)-1]
+		fmt.Fprintln(os.Stderr, sectionLine(e.Name, time.Since(expStart), sec, heapString()))
 		logger.Info("experiment done", "exp", e.Name,
 			"wall", time.Since(expStart).Round(time.Millisecond),
-			"points", c.points, "cache_hits", c.cached)
+			"points", sec.Done, "sim_runs", sec.Simulated(),
+			"cache_hits", sec.Cached, "store_hits", sec.Stored)
 	}
-	st := opts.Exec.Stats()
+	st := exec.Stats()
 	if st.Points > 0 {
 		fmt.Fprintf(os.Stderr, "total: %d points, %d simulated, %d cache hits, %v wall (parallel=%d, %s), %s\n",
 			st.Points, st.SimRuns, st.CacheHits,
@@ -343,12 +298,13 @@ func run() int {
 			"cache_hits", st.CacheHits, "store_hits", st.StoreHits,
 			"wall", time.Since(start).Round(time.Millisecond))
 	}
+	merged := sweep.Metrics()
 	if *metricf != "" {
 		var err error
 		if *metricf == "json" {
-			err = agg.merged.WriteJSON(os.Stdout)
+			err = merged.WriteJSON(os.Stdout)
 		} else {
-			err = agg.merged.WriteTable(os.Stdout)
+			err = merged.WriteTable(os.Stdout)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -357,7 +313,7 @@ func run() int {
 	}
 	if *heatTab {
 		fmt.Println()
-		if err := sdpcm.WriteHeatmapTable(os.Stdout, agg.heat); err != nil {
+		if err := sdpcm.WriteHeatmapTable(os.Stdout, sweep.Heatmap()); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
@@ -365,7 +321,7 @@ func run() int {
 	if *heatOut != "" {
 		f, err := os.Create(*heatOut)
 		if err == nil {
-			err = sdpcm.WriteHeatmapJSON(f, agg.heat)
+			err = sdpcm.WriteHeatmapJSON(f, sweep.Heatmap())
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -376,7 +332,7 @@ func run() int {
 		}
 	}
 	if *benchOut != "" {
-		if err := writeBenchRecord(*benchOut, ranExps, st, time.Since(start), agg.merged); err != nil {
+		if err := writeBenchRecord(*benchOut, ranExps, st, time.Since(start), merged); err != nil {
 			fmt.Fprintf(os.Stderr, "sdpcm-bench: %v\n", err)
 			return 1
 		}

@@ -33,18 +33,14 @@ import (
 	"sdpcm/internal/workload"
 )
 
-// Options scales the experiment harness.
+// Options scales the experiment harness. The embedded runner.Base carries
+// the sweep-wide simulation parameters; normalized fills the harness
+// defaults: RefsPerCore 6000 (fast, shape-preserving; the paper used 10M),
+// 8 cores as in Table 2, a 2^17-page (512 MB) DIMM with 1024-page (4 MB)
+// marking regions (the paper's 8 GB / 64 MB sizing works too, just slower
+// to allocate), and seed 42.
 type Options struct {
-	// RefsPerCore per simulation (default 6000 — fast, shape-preserving;
-	// the paper used 10M).
-	RefsPerCore int
-	// Cores in the CMP (default 8 as in Table 2).
-	Cores int
-	// MemPages / RegionPages size the DIMM (defaults 2^17 pages = 512 MB
-	// with 4 MB marking regions; the paper's 8 GB / 64 MB sizing works too,
-	// just slower to allocate).
-	MemPages    int
-	RegionPages int
+	runner.Base
 	// Benchmarks to sweep (default: all of Table 3).
 	Benchmarks []string
 	// Schemes overrides the scheme roster of the figures that take one
@@ -52,46 +48,6 @@ type Options struct {
 	// DefaultECPEntries. The baseline is prepended when absent — every
 	// figure normalises to it. Empty keeps each figure's published roster.
 	Schemes []string
-	// Seed for reproducibility.
-	Seed uint64
-	// CollectMetrics enables the observability layer on every simulation
-	// point: each result carries a deterministic metrics snapshot
-	// (sim.Result.Metrics), visible to Observers via PointEvent.Result.
-	CollectMetrics bool
-	// TraceEvents additionally keeps the last N typed events per point.
-	TraceEvents int
-	// HeatmapRegions enables the WD spatial heatmap on every point: each
-	// result carries a per bank × line-region accumulation of injected
-	// flips, parked errors and cascade activity (sim.Result.Heatmap).
-	HeatmapRegions int
-	// Shards selects the intra-run bank-sharded executor for every point
-	// (<=1 single-goroutine; results are byte-identical at any value). Use
-	// it when a run is dominated by a few large points; Parallel is the
-	// better lever when a sweep has many independent points.
-	Shards int
-	// Topology, when non-default, runs every simulation point on the
-	// multi-module simulator described by the spec (see sim.Config.Topology).
-	// Nil keeps the classic single-DIMM behaviour and cache keys.
-	Topology *topo.Spec
-	// Parallel bounds concurrent simulations (0 = GOMAXPROCS, 1 =
-	// sequential). Results are identical either way.
-	Parallel int
-	// NoCache disables point memoization.
-	NoCache bool
-	// CheckpointDir, with CheckpointEvery, makes long sweeps resumable:
-	// each cacheable point periodically writes a sim-state checkpoint into
-	// the directory, and a killed sweep restarted with the same options
-	// resumes every in-flight point from its last checkpoint with an
-	// identical result (see runner.Runner.CheckpointDir).
-	CheckpointDir string
-	// CheckpointEvery is the per-point checkpoint interval in processed
-	// references (0 disables checkpointing).
-	CheckpointEvery int
-	// Store is the durable tier under the executor's in-memory memo cache:
-	// points whose canonical key is present are answered from it without
-	// simulating, and cold points persist their result back — the cache
-	// spans processes and users (see runner.MemoStore).
-	Store runner.MemoStore
 	// Observer receives per-point completion events. It is passed per
 	// figure call, so several jobs sharing one Exec each keep their own
 	// event stream.
@@ -101,11 +57,11 @@ type Options struct {
 	// in-flight simulations complete (and still land in the cache). Nil
 	// means never canceled.
 	Ctx context.Context
-	// Exec, when set, executes every point and wins over
-	// Parallel/NoCache/Store. Sharing one executor across several figure
-	// calls spans the memo cache across them, so points common to multiple
-	// figures simulate once (the sdpcm-bench -exp all path, and the sweep
-	// service's shared simulation farm).
+	// Exec executes every point; nil means a fresh zero-value Runner per
+	// figure call (GOMAXPROCS workers, memo cache on). Sharing one executor
+	// across several figure calls spans the memo cache across them, so
+	// points common to multiple figures simulate once (the sdpcm-bench
+	// -exp all path, and the sweep service's shared simulation farm).
 	Exec *runner.Runner
 }
 
@@ -131,31 +87,6 @@ func (o Options) normalized() Options {
 	return o
 }
 
-// base extracts the sweep-wide simulation parameters.
-func (o Options) base() runner.Base {
-	return runner.Base{
-		RefsPerCore:    o.RefsPerCore,
-		Cores:          o.Cores,
-		MemPages:       o.MemPages,
-		RegionPages:    o.RegionPages,
-		Seed:           o.Seed,
-		CollectMetrics: o.CollectMetrics,
-		TraceEvents:    o.TraceEvents,
-		HeatmapRegions: o.HeatmapRegions,
-		Shards:         o.Shards,
-		Topology:       o.Topology,
-	}
-}
-
-// exec returns the executor for one figure: the shared one when set, else a
-// fresh per-figure executor built from the options.
-func (o Options) exec() *runner.Runner {
-	if o.Exec != nil {
-		return o.Exec
-	}
-	return NewRunner(o)
-}
-
 // run executes one figure's specs through the executor, threading the
 // options' context and per-call observer.
 func (o Options) run(specs []runner.Spec) ([]sim.Result, error) {
@@ -163,21 +94,11 @@ func (o Options) run(specs []runner.Spec) ([]sim.Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return o.exec().RunContext(ctx, o.base(), specs, o.Observer)
-}
-
-// NewRunner builds a sweep executor from the options. Callers running
-// several figures in one process assign it to Options.Exec so the memo
-// cache deduplicates points across figures.
-func NewRunner(o Options) *runner.Runner {
-	return &runner.Runner{
-		Workers:         o.Parallel,
-		NoCache:         o.NoCache,
-		Observer:        o.Observer,
-		Store:           o.Store,
-		CheckpointDir:   o.CheckpointDir,
-		CheckpointEvery: o.CheckpointEvery,
+	exec := o.Exec
+	if exec == nil {
+		exec = &runner.Runner{}
 	}
+	return exec.Run(ctx, o.Base, specs, o.Observer)
 }
 
 // roster resolves Options.Schemes through the scheme registry, keeping

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"sdpcm/internal/runner"
 	"sdpcm/internal/workload"
 )
 
@@ -13,12 +14,8 @@ import (
 // monotonicity — which are stable at this scale.
 func fastOpts() Options {
 	return Options{
-		RefsPerCore: 3000,
-		Cores:       4,
-		MemPages:    1 << 16,
-		RegionPages: 1024,
-		Benchmarks:  []string{"gemsFDTD", "lbm", "mcf"},
-		Seed:        11,
+		Base:       runner.Base{RefsPerCore: 3000, Cores: 4, MemPages: 1 << 16, RegionPages: 1024, Seed: 11},
+		Benchmarks: []string{"gemsFDTD", "lbm", "mcf"},
 	}
 }
 

@@ -4,23 +4,10 @@ import (
 	"reflect"
 	"testing"
 
+	"sdpcm/internal/obs"
 	"sdpcm/internal/runner"
 	"sdpcm/internal/wd"
 )
-
-// collectHeatmaps merges every point's heatmap the way sdpcm-bench's
-// aggregator does.
-type collectHeatmaps struct {
-	merged *wd.HeatmapSnapshot
-	points int
-}
-
-func (c *collectHeatmaps) PointDone(ev runner.PointEvent) {
-	c.points++
-	if ev.Err == nil && ev.Result != nil {
-		c.merged = c.merged.Merge(ev.Result.Heatmap)
-	}
-}
 
 // TestHeatmapDeterministicAcrossParallel is the acceptance check for the
 // sweep-level heatmap: the merged aggregate must be bit-identical whether
@@ -31,19 +18,20 @@ func TestHeatmapDeterministicAcrossParallel(t *testing.T) {
 		o := fastOpts()
 		o.Benchmarks = []string{"lbm", "mcf"}
 		o.HeatmapRegions = 8
-		o.Parallel = parallel
-		c := &collectHeatmaps{}
-		o.Observer = c
+		o.Exec = &runner.Runner{Workers: parallel}
+		sw := &obs.Sweep{}
+		o.Observer = sw
 		if _, err := Fig12(o); err != nil {
 			t.Fatal(err)
 		}
-		if c.points == 0 {
+		if sw.Progress().PointsDone == 0 {
 			t.Fatal("observer saw no points")
 		}
-		if c.merged == nil {
+		merged := sw.Heatmap()
+		if merged == nil {
 			t.Fatal("no heatmaps collected despite HeatmapRegions")
 		}
-		return c.merged
+		return merged
 	}
 	seq := run(1)
 	par := run(4)
@@ -61,23 +49,22 @@ func TestHeatmapFlowsThroughCache(t *testing.T) {
 	o := fastOpts()
 	o.Benchmarks = []string{"lbm"}
 	o.HeatmapRegions = 4
-	ex := NewRunner(o)
+	ex := &runner.Runner{}
 	o.Exec = ex
-	c := &collectHeatmaps{}
+	sw := &obs.Sweep{}
 
 	// First pass simulates; run it without the observer.
 	if _, err := Fig12(o); err != nil {
 		t.Fatal(err)
 	}
 	// Second identical pass is served from the memo cache; attach the
-	// observer to the shared executor (the per-call Options.Observer is
-	// nil, so the executor's own observer receives the events).
-	ex.Observer = c
+	// observer to this call only.
+	o.Observer = sw
 	if _, err := Fig12(o); err != nil {
 		t.Fatal(err)
 	}
-	if c.points == 0 || c.merged == nil {
-		t.Fatalf("cached pass delivered %d points, merged=%v", c.points, c.merged)
+	if p := sw.Progress(); p.PointsDone == 0 || sw.Heatmap() == nil {
+		t.Fatalf("cached pass delivered %d points, merged=%v", p.PointsDone, sw.Heatmap())
 	}
 	st := ex.Stats()
 	if st.CacheHits == 0 {

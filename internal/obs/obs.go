@@ -14,6 +14,7 @@ package obs
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -25,9 +26,56 @@ import (
 	"sdpcm/internal/metrics"
 )
 
-// readHeaderTimeout bounds how long a client may take to send its request
-// headers, so idle half-open connections cannot pin server goroutines.
-const readHeaderTimeout = 10 * time.Second
+// ReadHeaderTimeout bounds how long a client may take to send its request
+// headers, so idle half-open connections cannot pin server goroutines. Every
+// server started through Serve sets it.
+const ReadHeaderTimeout = 10 * time.Second
+
+// Serve binds addr (":0" picks a free port) and serves h in a background
+// goroutine with ReadHeaderTimeout set, returning the server and the bound
+// address. Stop it with Shutdown.
+func Serve(addr string, h http.Handler) (*http.Server, string, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, "", err
+	}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: ReadHeaderTimeout}
+	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
+	return srv, ln.Addr().String(), nil
+}
+
+// Shutdown stops a server started by Serve; nil is a no-op. It drains: the
+// listener closes immediately (no new connections), but requests already in
+// flight — a Prometheus scrape mid-render, say — get up to timeout (0 picks
+// 5s) to complete before the hard stop drops whatever is left.
+func Shutdown(srv *http.Server, timeout time.Duration) error {
+	if srv == nil {
+		return nil
+	}
+	if timeout <= 0 {
+		timeout = 5 * time.Second
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		// Timed out (or the context machinery failed): fall back to the
+		// hard stop so Shutdown never hangs on a stuck connection.
+		return srv.Close()
+	}
+	return nil
+}
+
+// MountPprof registers the net/http/pprof endpoints under /debug/pprof/.
+// The patterns carry methods so they coexist with a method-scoped catch-all
+// such as "GET /".
+func MountPprof(mux *http.ServeMux) {
+	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
+	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("POST /debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
+}
 
 // Server serves the live observability endpoints:
 //
@@ -37,7 +85,7 @@ const readHeaderTimeout = 10 * time.Second
 //	/debug/pprof/  the standard Go profiling endpoints
 //
 // Producers publish with SetSnapshot (which sim.Config.OnSnapshot can point
-// at directly) and by feeding the Progress tracker; handlers read under a
+// at directly) or by feeding the server's Sweep fold; handlers read under a
 // lock, so publication and serving never race. The zero value is not usable;
 // construct with NewServer.
 type Server struct {
@@ -46,21 +94,19 @@ type Server struct {
 	// before Start.
 	ShutdownTimeout time.Duration
 
-	mu   sync.RWMutex
-	snap *metrics.Snapshot
-	prog *Progress
-	srv  *http.Server
-	ln   net.Listener
+	mu    sync.RWMutex
+	snap  *metrics.Snapshot
+	sweep *Sweep
+	srv   *http.Server
 
 	// metricsGate, when non-nil, runs at the top of the /metrics handler —
 	// a test hook for holding a request in flight across a Close call.
 	metricsGate func()
 }
 
-// NewServer builds a server with an empty snapshot and a fresh Progress
-// tracker.
+// NewServer builds a server with no snapshot and an empty Sweep fold.
 func NewServer() *Server {
-	return &Server{prog: NewProgress()}
+	return &Server{sweep: &Sweep{}}
 }
 
 // SetSnapshot publishes a snapshot; the snapshot must not be mutated after
@@ -72,17 +118,23 @@ func (s *Server) SetSnapshot(sn *metrics.Snapshot) {
 	s.mu.Unlock()
 }
 
-// Snapshot returns the most recently published snapshot (nil before the
-// first publication).
+// Snapshot returns what /metrics and /events render: the most recently
+// published snapshot, else the Sweep fold's live aggregate with its event
+// ring (nil before either has data).
 func (s *Server) Snapshot() *metrics.Snapshot {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.snap
+	sn := s.snap
+	s.mu.RUnlock()
+	if sn != nil {
+		return sn
+	}
+	return s.sweep.Live()
 }
 
-// Progress returns the server's sweep tracker, for wiring into a runner
-// observer chain.
-func (s *Server) Progress() *Progress { return s.prog }
+// Sweep returns the server's sweep fold, for wiring into a runner observer
+// chain; it feeds /progress, and /metrics and /events until a snapshot is
+// published.
+func (s *Server) Sweep() *Sweep { return s.sweep }
 
 // Handler returns the observability mux (usable under httptest or a custom
 // server).
@@ -92,48 +144,21 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/progress", s.handleProgress)
 	mux.HandleFunc("/events", s.handleEvents)
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	MountPprof(mux)
 	return mux
 }
 
 // Start binds addr (":0" picks a free port) and serves in a background
 // goroutine, returning the bound address. Close shuts the listener down.
 func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
-	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
-	return ln.Addr().String(), nil
+	srv, bound, err := Serve(addr, s.Handler())
+	s.srv = srv
+	return bound, err
 }
 
-// Close stops a started server gracefully; a no-op otherwise. It drains:
-// the listener closes immediately (no new connections), but requests
-// already in flight — a Prometheus scrape mid-render, say — get up to
-// ShutdownTimeout to complete before the hard stop drops whatever is left.
-func (s *Server) Close() error {
-	if s.srv == nil {
-		return nil
-	}
-	timeout := s.ShutdownTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	if err := s.srv.Shutdown(ctx); err != nil {
-		// Timed out (or the context machinery failed): fall back to the
-		// hard stop so Close never hangs on a stuck connection.
-		return s.srv.Close()
-	}
-	return nil
-}
+// Close stops a started server gracefully, draining in-flight requests for
+// up to ShutdownTimeout (see Shutdown); a no-op otherwise.
+func (s *Server) Close() error { return Shutdown(s.srv, s.ShutdownTimeout) }
 
 func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Path != "/" {
@@ -158,7 +183,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	enc.Encode(s.prog.Snapshot()) //nolint:errcheck // best effort over HTTP
+	enc.Encode(s.sweep.Progress()) //nolint:errcheck // best effort over HTTP
 }
 
 // EventsPayload is the /events JSON shape. Dropped counts events the
@@ -192,15 +217,25 @@ func EventsTail(sn *metrics.Snapshot, n int) EventsPayload {
 	return payload
 }
 
+// EventsLimit reads an events request's ?n= tail limit: -1 (keep every
+// event) when absent, an error when not a non-negative integer.
+func EventsLimit(r *http.Request) (int, error) {
+	nStr := r.URL.Query().Get("n")
+	if nStr == "" {
+		return -1, nil
+	}
+	n, err := strconv.Atoi(nStr)
+	if err != nil || n < 0 {
+		return 0, errors.New("bad n")
+	}
+	return n, nil
+}
+
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	n := -1
-	if nStr := r.URL.Query().Get("n"); nStr != "" {
-		var err error
-		n, err = strconv.Atoi(nStr)
-		if err != nil || n < 0 {
-			http.Error(w, "bad n", http.StatusBadRequest)
-			return
-		}
+	n, err := EventsLimit(r)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

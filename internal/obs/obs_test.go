@@ -44,8 +44,8 @@ func TestServerEndpoints(t *testing.T) {
 	tr.Emit(100, metrics.EvWDParked, 93, 2, 4)
 	tr.Emit(200, metrics.EvWDFlushed, 93, 2, 1)
 	s.SetSnapshot(r.Snapshot())
-	s.Progress().Begin("fig11")
-	s.Progress().PointDone(runner.PointEvent{Total: 4})
+	s.Sweep().Begin("fig11")
+	s.Sweep().PointDone(runner.PointEvent{Total: 4})
 
 	code, body, hdr := get(t, ts.URL+"/metrics")
 	if code != http.StatusOK {
@@ -131,6 +131,24 @@ func TestServerBeforeFirstSnapshot(t *testing.T) {
 	}
 }
 
+// TestServerServesSweepLive: with no published snapshot, /metrics and
+// /events render the Sweep fold's live aggregate, event ring included.
+func TestServerServesSweepLive(t *testing.T) {
+	s, ts := testServer(t)
+	s.Sweep().PointDone(withMetrics(3, 0, nil))
+	if _, body, _ := get(t, ts.URL+"/metrics"); !strings.Contains(body, "sdpcm_mc_write_ops_total 3") {
+		t.Fatalf("/metrics does not render the sweep aggregate:\n%s", body)
+	}
+	_, body, _ := get(t, ts.URL+"/events")
+	var ep EventsPayload
+	if err := json.Unmarshal([]byte(body), &ep); err != nil {
+		t.Fatal(err)
+	}
+	if len(ep.Events) != 3 {
+		t.Fatalf("/events = %+v, want the 3 ring events", ep)
+	}
+}
+
 // TestRingOverflowStaysDropped: events lost to the bounded ring surface as
 // Dropped even when the client also truncates with ?n=.
 func TestRingOverflowStaysDropped(t *testing.T) {
@@ -161,8 +179,8 @@ func TestServerStartClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.srv.ReadHeaderTimeout != readHeaderTimeout {
-		t.Fatalf("ReadHeaderTimeout = %v, want %v", s.srv.ReadHeaderTimeout, readHeaderTimeout)
+	if s.srv.ReadHeaderTimeout != ReadHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", s.srv.ReadHeaderTimeout, ReadHeaderTimeout)
 	}
 	code, _, _ := get(t, "http://"+addr+"/progress")
 	if code != http.StatusOK {

@@ -50,7 +50,7 @@ func TestDeterminism(t *testing.T) {
 		{Workers: 1, NoCache: true},
 		{Workers: 8, NoCache: true},
 	} {
-		res, err := r.Run(base, specs)
+		res, err := r.Run(context.Background(), base, specs, nil)
 		if err != nil {
 			t.Fatalf("Workers=%d NoCache=%t: %v", r.Workers, r.NoCache, err)
 		}
@@ -70,7 +70,7 @@ func TestDeterminism(t *testing.T) {
 func TestCacheDedup(t *testing.T) {
 	r := &Runner{Workers: 4}
 	specs := testSpecs()
-	res, err := r.Run(testBase(), specs)
+	res, err := r.Run(context.Background(), testBase(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCacheDedup(t *testing.T) {
 		t.Error("duplicate specs returned different results")
 	}
 	// A second Run of the same grid is served entirely from the cache.
-	res2, err := r.Run(testBase(), specs)
+	res2, err := r.Run(context.Background(), testBase(), specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestCacheDedup(t *testing.T) {
 func TestNoCacheRunsEveryPoint(t *testing.T) {
 	r := &Runner{Workers: 2, NoCache: true}
 	specs := testSpecs()
-	if _, err := r.Run(testBase(), specs); err != nil {
+	if _, err := r.Run(context.Background(), testBase(), specs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := r.Stats(); st.SimRuns != len(specs) || st.CacheHits != 0 {
@@ -224,18 +224,16 @@ func TestGridExpand(t *testing.T) {
 func TestObserverEvents(t *testing.T) {
 	var mu sync.Mutex
 	events := map[int]PointEvent{}
-	r := &Runner{
-		Workers: 4,
-		Observer: ObserverFunc(func(ev PointEvent) {
-			// The runner serializes observer calls; the mutex only guards
-			// against the test goroutine reading early.
-			mu.Lock()
-			events[ev.Index] = ev
-			mu.Unlock()
-		}),
-	}
+	r := &Runner{Workers: 4}
+	obs := ObserverFunc(func(ev PointEvent) {
+		// The runner serializes observer calls; the mutex only guards
+		// against the test goroutine reading early.
+		mu.Lock()
+		events[ev.Index] = ev
+		mu.Unlock()
+	})
 	specs := testSpecs()
-	if _, err := r.Run(testBase(), specs); err != nil {
+	if _, err := r.Run(context.Background(), testBase(), specs, obs); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -271,13 +269,13 @@ func TestRunErrorIsDeterministic(t *testing.T) {
 		{Scheme: core.Baseline(), Bench: "mcf"},
 	}
 	r := &Runner{Workers: 4}
-	_, err := r.Run(testBase(), specs)
+	_, err := r.Run(context.Background(), testBase(), specs, nil)
 	if err == nil {
 		t.Fatal("invalid spec must fail the run")
 	}
 	want := fmt.Sprintf("%v", err)
 	for i := 0; i < 3; i++ {
-		_, err2 := (&Runner{Workers: 4}).Run(testBase(), specs)
+		_, err2 := (&Runner{Workers: 4}).Run(context.Background(), testBase(), specs, nil)
 		if err2 == nil || fmt.Sprintf("%v", err2) != want {
 			t.Fatalf("error not deterministic: %v vs %v", err2, err)
 		}
@@ -294,13 +292,13 @@ const ckptInterval = 801
 func TestCheckpointSweepUnperturbed(t *testing.T) {
 	base := testBase()
 	specs := testSpecs()
-	plain, err := (&Runner{Workers: 4}).Run(base, specs)
+	plain, err := (&Runner{Workers: 4}).Run(context.Background(), base, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
 	r := &Runner{Workers: 4, CheckpointDir: dir, CheckpointEvery: ckptInterval}
-	res, err := r.Run(base, specs)
+	res, err := r.Run(context.Background(), base, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +323,7 @@ func TestCheckpointSweepUnperturbed(t *testing.T) {
 func TestCheckpointSweepResume(t *testing.T) {
 	base := testBase()
 	sp := Spec{Scheme: core.LazyC(6), Bench: "mcf"}
-	cold, err := (&Runner{Workers: 1}).Run(base, []Spec{sp})
+	cold, err := (&Runner{Workers: 1}).Run(context.Background(), base, []Spec{sp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +345,7 @@ func TestCheckpointSweepResume(t *testing.T) {
 		t.Fatalf("no mid-run checkpoint written: %v", err)
 	}
 
-	res, err := r.Run(base, []Spec{sp})
+	res, err := r.Run(context.Background(), base, []Spec{sp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +365,7 @@ func TestCheckpointSweepResume(t *testing.T) {
 func TestCheckpointCorruptFallsBackCold(t *testing.T) {
 	base := testBase()
 	sp := Spec{Scheme: core.Baseline(), Bench: "lbm"}
-	cold, err := (&Runner{Workers: 1}).Run(base, []Spec{sp})
+	cold, err := (&Runner{Workers: 1}).Run(context.Background(), base, []Spec{sp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +378,7 @@ func TestCheckpointCorruptFallsBackCold(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, err := r.Run(base, []Spec{sp})
+	res, err := r.Run(context.Background(), base, []Spec{sp}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +429,7 @@ func TestMemoStoreRoundTrip(t *testing.T) {
 	specs := testSpecs()
 
 	first := &Runner{Workers: 4, Store: store}
-	want, err := first.Run(base, specs)
+	want, err := first.Run(context.Background(), base, specs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,8 +444,8 @@ func TestMemoStoreRoundTrip(t *testing.T) {
 	// unique point must be answered by the store.
 	second := &Runner{Workers: 4, Store: store}
 	var events []PointEvent
-	second.Observer = ObserverFunc(func(ev PointEvent) { events = append(events, ev) })
-	got, err := second.Run(base, specs)
+	obs := ObserverFunc(func(ev PointEvent) { events = append(events, ev) })
+	got, err := second.Run(context.Background(), base, specs, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -485,7 +483,7 @@ func TestMemoStoreSkipsUncacheable(t *testing.T) {
 	r := &Runner{Workers: 1, Store: store}
 	sc := core.Baseline()
 	sc.HardErrorFn = func(pcm.LineAddr) int { return 0 } // opaque: unkeyable
-	if _, err := r.Run(testBase(), []Spec{{Scheme: sc, Bench: "lbm"}}); err != nil {
+	if _, err := r.Run(context.Background(), testBase(), []Spec{{Scheme: sc, Bench: "lbm"}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if store.loads != 0 || store.stores != 0 {
@@ -499,7 +497,7 @@ func TestRunContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := &Runner{Workers: 1}
-	_, err := r.RunContext(ctx, testBase(), testSpecs(), nil)
+	_, err := r.Run(ctx, testBase(), testSpecs(), nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -508,7 +506,7 @@ func TestRunContextCanceled(t *testing.T) {
 	}
 }
 
-// TestCanceledOwnerDoesNotPoisonCache: after a canceled RunContext, the
+// TestCanceledOwnerDoesNotPoisonCache: after a canceled Run, the
 // same Runner must still simulate the points on a live context instead of
 // serving the cancellation error from the memo cache.
 func TestCanceledOwnerDoesNotPoisonCache(t *testing.T) {
@@ -517,10 +515,10 @@ func TestCanceledOwnerDoesNotPoisonCache(t *testing.T) {
 	specs := testSpecs()[:2]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := r.RunContext(ctx, base, specs, nil); !errors.Is(err, context.Canceled) {
+	if _, err := r.Run(ctx, base, specs, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	res, err := r.RunContext(context.Background(), base, specs, nil)
+	res, err := r.Run(context.Background(), base, specs, nil)
 	if err != nil {
 		t.Fatalf("retry after cancel: %v", err)
 	}
@@ -529,23 +527,30 @@ func TestCanceledOwnerDoesNotPoisonCache(t *testing.T) {
 	}
 }
 
-// TestRunContextPerCallObserver: the per-call observer wins over the Runner
-// field, so concurrent jobs sharing one Runner get their own event streams.
-func TestRunContextPerCallObserver(t *testing.T) {
-	var viaField, viaCall int
-	r := &Runner{Workers: 2, Observer: ObserverFunc(func(PointEvent) { viaField++ })}
-	obs := ObserverFunc(func(PointEvent) { viaCall++ })
-	specs := testSpecs()[:2]
-	if _, err := r.RunContext(context.Background(), testBase(), specs, obs); err != nil {
-		t.Fatal(err)
+// TestRunPerCallObserver: concurrent Run calls sharing one Runner (the
+// sweep service's jobs) each see exactly their own points.
+func TestRunPerCallObserver(t *testing.T) {
+	r := &Runner{Workers: 2}
+	specs := testSpecs()
+	var wg sync.WaitGroup
+	counts := make([]int, 2)
+	for i, part := range [][]Spec{specs[:2], specs[2:]} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			obs := ObserverFunc(func(ev PointEvent) {
+				if ev.Total != len(part) {
+					t.Errorf("call %d saw an event of a %d-point call", i, ev.Total)
+				}
+				counts[i]++
+			})
+			if _, err := r.Run(context.Background(), testBase(), part, obs); err != nil {
+				t.Error(err)
+			}
+		}()
 	}
-	if viaCall != len(specs) || viaField != 0 {
-		t.Errorf("observer calls: per-call %d (want %d), field %d (want 0)", viaCall, len(specs), viaField)
-	}
-	if _, err := r.Run(testBase(), specs); err != nil {
-		t.Fatal(err)
-	}
-	if viaField != len(specs) {
-		t.Errorf("Run fell back to field observer %d times, want %d", viaField, len(specs))
+	wg.Wait()
+	if counts[0] != 2 || counts[1] != len(specs)-2 {
+		t.Errorf("observer calls = %v, want [2 %d]", counts, len(specs)-2)
 	}
 }

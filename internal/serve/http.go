@@ -1,16 +1,13 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"time"
 
 	"sdpcm/internal/experiments"
@@ -20,10 +17,6 @@ import (
 // maxJobSpecBytes caps a job POST body. A JobSpec is a few hundred bytes;
 // anything past this bound is refused with 413 before it is decoded.
 const maxJobSpecBytes = 1 << 20
-
-// readHeaderTimeout bounds how long a client may take to send its request
-// headers, so idle half-open connections cannot pin server goroutines.
-const readHeaderTimeout = 10 * time.Second
 
 // Server is the sweep service's HTTP front end:
 //
@@ -40,6 +33,7 @@ const readHeaderTimeout = 10 * time.Second
 //	GET    /metrics                  Prometheus exposition: per-job series ({job="..."}) + self metrics
 //	GET    /healthz                  liveness (always 200 while serving)
 //	GET    /readyz                   readiness (503 once draining)
+//	GET    /debug/pprof/             the standard Go profiling endpoints
 type Server struct {
 	// ShutdownTimeout bounds how long Close waits for in-flight requests
 	// (0: 5s), mirroring obs.Server.
@@ -48,7 +42,6 @@ type Server struct {
 	mgr    *Manager
 	logger *slog.Logger
 	srv    *http.Server
-	ln     net.Listener
 }
 
 // NewServer wraps a manager; logger nil discards request-level records.
@@ -80,38 +73,20 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", s.withJob(s.handleCancel))
 	mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.withJob(s.handleCancel))
 	mux.HandleFunc("GET /", s.handleIndex)
+	obs.MountPprof(mux)
 	return mux
 }
 
 // Start binds addr (":0" picks a free port) and serves in the background.
 func (s *Server) Start(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	s.ln = ln
-	s.srv = &http.Server{Handler: s.Handler(), ReadHeaderTimeout: readHeaderTimeout}
-	go s.srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
-	return ln.Addr().String(), nil
+	srv, bound, err := obs.Serve(addr, s.Handler())
+	s.srv = srv
+	return bound, err
 }
 
 // Close drains the HTTP side like obs.Server.Close: no new connections,
 // in-flight requests get up to ShutdownTimeout, then a hard stop.
-func (s *Server) Close() error {
-	if s.srv == nil {
-		return nil
-	}
-	timeout := s.ShutdownTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	if err := s.srv.Shutdown(ctx); err != nil {
-		return s.srv.Close()
-	}
-	return nil
-}
+func (s *Server) Close() error { return obs.Shutdown(s.srv, s.ShutdownTimeout) }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -151,7 +126,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 		"GET /api/v1/jobs/{id}/result\nGET /api/v1/jobs/{id}/heatmap\n"+
 		"GET /api/v1/jobs/{id}/progress\nGET /api/v1/jobs/{id}/events\n"+
 		"GET /api/v1/jobs/{id}/stream\nPOST /api/v1/jobs/{id}/cancel\n"+
-		"GET /api/v1/experiments\nGET /metrics\nGET /healthz\nGET /readyz\n")
+		"GET /api/v1/experiments\nGET /metrics\nGET /healthz\nGET /readyz\n"+
+		"GET /debug/pprof/\n")
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -241,26 +217,22 @@ func (s *Server) handleResult(w http.ResponseWriter, _ *http.Request, j *Job) {
 
 func (s *Server) handleHeatmap(w http.ResponseWriter, _ *http.Request, j *Job) {
 	w.Header().Set("Content-Type", "application/json")
-	if err := obs.WriteHeatmapJSON(w, j.Heatmap()); err != nil {
+	if err := obs.WriteHeatmapJSON(w, j.Sweep().Heatmap()); err != nil {
 		s.logger.Warn("heatmap render failed", "job", j.ID, "error", err)
 	}
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request, j *Job) {
-	writeJSON(w, http.StatusOK, j.Progress())
+	writeJSON(w, http.StatusOK, j.Sweep().Progress())
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, j *Job) {
-	n := -1
-	if nStr := r.URL.Query().Get("n"); nStr != "" {
-		var err error
-		n, err = strconv.Atoi(nStr)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, errors.New("bad n"))
-			return
-		}
+	n, err := obs.EventsLimit(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
-	writeJSON(w, http.StatusOK, obs.EventsTail(j.MetricsSnapshot(), n))
+	writeJSON(w, http.StatusOK, obs.EventsTail(j.Sweep().Live(), n))
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, _ *http.Request, j *Job) {
@@ -321,7 +293,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, j *Job) {
 			}
 			flusher.Flush()
 		case <-ticker.C:
-			if err := sseEvent(w, "progress", j.Progress()); err != nil {
+			if err := sseEvent(w, "progress", j.Sweep().Progress()); err != nil {
 				return
 			}
 			flusher.Flush()
@@ -337,7 +309,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request, j *Job) {
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	for _, j := range s.mgr.List() {
-		sn := j.MetricsSnapshot()
+		sn := j.Sweep().Live()
 		if sn == nil {
 			continue
 		}

@@ -11,12 +11,10 @@ import (
 
 	"sdpcm/internal/core"
 	"sdpcm/internal/experiments"
-	"sdpcm/internal/metrics"
 	"sdpcm/internal/obs"
 	"sdpcm/internal/runner"
 	"sdpcm/internal/sim"
 	"sdpcm/internal/topo"
-	"sdpcm/internal/wd"
 	"sdpcm/internal/workload"
 )
 
@@ -40,10 +38,6 @@ var ErrNoSuchJob = errors.New("serve: no such job")
 // jobEventLogCap bounds the per-job point-event replay log backing the SSE
 // stream; a sweep longer than this replays only its newest tail.
 const jobEventLogCap = 512
-
-// jobEventRingCap bounds the per-job typed-event ring backing the /events
-// view (the per-point tails concatenate here; overflow counts as dropped).
-const jobEventRingCap = 1024
 
 // Job-size bounds. Each numeric JobSpec field must lie in 0..max (0 picks
 // the harness default), so one POST cannot size a simulation past what the
@@ -129,18 +123,20 @@ func (s JobSpec) Validate() error {
 // options maps the spec onto the experiment harness.
 func (s JobSpec) options() experiments.Options {
 	return experiments.Options{
-		RefsPerCore:    s.RefsPerCore,
-		Cores:          s.Cores,
-		MemPages:       s.MemMB * 256, // 4KB pages
-		RegionPages:    s.RegionPages,
-		Benchmarks:     s.Benchmarks,
-		Schemes:        s.Schemes,
-		Seed:           s.Seed,
-		Shards:         s.Shards,
-		CollectMetrics: true,
-		TraceEvents:    s.TraceEvents,
-		HeatmapRegions: s.HeatmapRegions,
-		Topology:       s.Topology,
+		Base: runner.Base{
+			RefsPerCore:    s.RefsPerCore,
+			Cores:          s.Cores,
+			MemPages:       s.MemMB * 256, // 4KB pages
+			RegionPages:    s.RegionPages,
+			Seed:           s.Seed,
+			Shards:         s.Shards,
+			CollectMetrics: true,
+			TraceEvents:    s.TraceEvents,
+			HeatmapRegions: s.HeatmapRegions,
+			Topology:       s.Topology,
+		},
+		Benchmarks: s.Benchmarks,
+		Schemes:    s.Schemes,
 	}
 }
 
@@ -171,7 +167,8 @@ type JobStatus struct {
 	Progress obs.ProgressSnapshot `json:"progress"`
 	// Points/SimRuns/CacheHits/StoreHits decompose where the job's results
 	// came from: fresh simulation, the in-memory memo cache, or the durable
-	// on-disk store.
+	// on-disk store. Derived from Progress; failed points count in Points
+	// only.
 	Points    int `json:"points"`
 	SimRuns   int `json:"sim_runs"`
 	CacheHits int `json:"cache_hits"`
@@ -180,60 +177,35 @@ type JobStatus struct {
 
 // Job is one submitted sweep. It implements runner.Observer: the executor
 // feeds it one event per completed point, which it folds into the job's
-// progress tracker, merged metrics aggregate, heatmap, typed-event ring
-// and SSE replay log.
+// obs.Sweep (progress, merged metrics, heatmap, typed-event ring) and its
+// SSE replay log.
 type Job struct {
 	ID   string
 	Spec JobSpec
 
-	prog   *obs.Progress
+	sweep  *obs.Sweep
 	ctx    context.Context
 	cancel context.CancelFunc
 	// done closes when the job reaches a terminal state.
 	done chan struct{}
 
-	mu        sync.Mutex
-	state     JobState
-	err       string
-	created   time.Time
-	started   time.Time
-	finished  time.Time
-	table     string
-	merged    *metrics.Snapshot
-	heat      *wd.HeatmapSnapshot
-	evRing    []metrics.Event
-	evDropped uint64
-	points    int
-	simRuns   int
-	cacheHits int
-	storeHits int
-	seq       int
-	log       []PointRecord
-	subs      map[chan PointRecord]struct{}
+	mu       sync.Mutex
+	state    JobState
+	err      string
+	created  time.Time
+	started  time.Time
+	finished time.Time
+	table    string
+	seq      int
+	log      []PointRecord
+	subs     map[chan PointRecord]struct{}
 }
 
 // PointDone implements runner.Observer. The executor serializes calls.
 func (j *Job) PointDone(ev runner.PointEvent) {
-	j.prog.PointDone(ev)
+	j.sweep.PointDone(ev)
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.points++
-	switch {
-	case ev.Err != nil:
-	case ev.Stored:
-		j.storeHits++
-	case ev.Cached:
-		j.cacheHits++
-	default:
-		j.simRuns++
-	}
-	if ev.Err == nil && ev.Result != nil {
-		j.heat = j.heat.Merge(ev.Result.Heatmap)
-		if ev.Result.Metrics != nil {
-			j.merged = j.merged.Merge(ev.Result.Metrics)
-			j.appendEvents(ev.Result.Metrics)
-		}
-	}
 	j.seq++
 	rec := PointRecord{
 		Seq:    j.seq,
@@ -261,19 +233,9 @@ func (j *Job) PointDone(ev runner.PointEvent) {
 	}
 }
 
-// appendEvents folds a point's typed-event tail into the job ring.
-// Caller holds j.mu.
-func (j *Job) appendEvents(m *metrics.Snapshot) {
-	j.evDropped += m.EventsDropped
-	j.evRing = append(j.evRing, m.Events...)
-	if over := len(j.evRing) - jobEventRingCap; over > 0 {
-		j.evDropped += uint64(over)
-		j.evRing = append(j.evRing[:0:0], j.evRing[over:]...)
-	}
-}
-
 // Status snapshots the job for the API.
 func (j *Job) Status() JobStatus {
+	p := j.sweep.Progress()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := JobStatus{
@@ -282,11 +244,11 @@ func (j *Job) Status() JobStatus {
 		Spec:      j.Spec,
 		Error:     j.err,
 		Created:   j.created,
-		Progress:  j.prog.Snapshot(),
-		Points:    j.points,
-		SimRuns:   j.simRuns,
-		CacheHits: j.cacheHits,
-		StoreHits: j.storeHits,
+		Progress:  p,
+		Points:    p.PointsDone,
+		SimRuns:   p.PointsSimulated(),
+		CacheHits: p.PointsCached,
+		StoreHits: p.PointsStored,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -307,34 +269,9 @@ func (j *Job) Table() (string, bool) {
 	return j.table, j.state == StateDone
 }
 
-// Heatmap returns the merged WD heatmap (nil when not enabled or no point
-// has finished yet).
-func (j *Job) Heatmap() *wd.HeatmapSnapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.heat
-}
-
-// MetricsSnapshot returns the job's merged metrics aggregate plus the
-// typed-event ring, shaped for obs.WritePrometheusLabeled / obs.EventsTail.
-func (j *Job) MetricsSnapshot() *metrics.Snapshot {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.merged == nil && len(j.evRing) == 0 && j.evDropped == 0 {
-		return nil
-	}
-	sn := &metrics.Snapshot{}
-	if j.merged != nil {
-		cp := *j.merged
-		sn = &cp
-	}
-	sn.Events = append([]metrics.Event(nil), j.evRing...)
-	sn.EventsDropped = j.evDropped
-	return sn
-}
-
-// Progress returns the job's live progress snapshot.
-func (j *Job) Progress() obs.ProgressSnapshot { return j.prog.Snapshot() }
+// Sweep returns the job's point fold: progress, merged metrics with the
+// typed-event ring (Live), and the merged heatmap.
+func (j *Job) Sweep() *obs.Sweep { return j.sweep }
 
 // Done exposes the terminal-state signal (closed when the job finishes).
 func (j *Job) Done() <-chan struct{} { return j.done }
@@ -490,7 +427,7 @@ func (m *Manager) Submit(spec JobSpec) (*Job, error) {
 	j := &Job{
 		ID:      id,
 		Spec:    spec,
-		prog:    obs.NewProgress(),
+		sweep:   &obs.Sweep{},
 		ctx:     ctx,
 		cancel:  cancel,
 		done:    make(chan struct{}),
@@ -534,7 +471,7 @@ func (m *Manager) runJob(j *Job) {
 	opts.Exec = m.exec
 	opts.Ctx = j.ctx
 	opts.Observer = j
-	j.prog.Begin(j.Spec.Experiment)
+	j.sweep.Begin(j.Spec.Experiment)
 	start := time.Now()
 	tb, err := exp.Run(opts)
 	wall := time.Since(start)

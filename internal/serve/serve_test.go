@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"sdpcm/internal/obs"
 	"sdpcm/internal/sim"
 )
 
@@ -220,8 +221,22 @@ func TestStartSetsReadHeaderTimeout(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.Close() })
-	if s.srv.ReadHeaderTimeout != readHeaderTimeout {
-		t.Fatalf("ReadHeaderTimeout = %v, want %v", s.srv.ReadHeaderTimeout, readHeaderTimeout)
+	if s.srv.ReadHeaderTimeout != obs.ReadHeaderTimeout {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", s.srv.ReadHeaderTimeout, obs.ReadHeaderTimeout)
+	}
+}
+
+// TestServicePprof: the service mounts the standard profiling endpoints
+// next to its method-scoped routes.
+func TestServicePprof(t *testing.T) {
+	_, ts := newTestServer(t, ManagerConfig{})
+	for _, path := range []string{"/debug/pprof/", "/debug/pprof/cmdline"} {
+		if code, body := getBody(t, ts.URL+path); code != http.StatusOK {
+			t.Fatalf("GET %s -> %d %s", path, code, body)
+		}
+	}
+	if code, _ := getBody(t, ts.URL+"/api/v1/experiments"); code != http.StatusOK {
+		t.Fatalf("GET /api/v1/experiments -> %d next to pprof", code)
 	}
 }
 

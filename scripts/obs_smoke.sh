@@ -8,7 +8,9 @@
 #   /metrics   must be Prometheus text exposition with sdpcm_-prefixed
 #              series and at least one nonzero counter
 #   /progress  must be JSON carrying the points_done tally
-#   /events    must be JSON
+#   /events    must be JSON carrying at least one typed event: the sweep
+#              runs with -trace-events, and the live view keeps a bounded
+#              ring of the points' event tails
 #
 # The bench prints its bound address ("obs: listening on http://ADDR") to
 # stderr, so the script needs no free-port guessing.
@@ -27,7 +29,7 @@ go build -o "$tmp/sdpcm-bench" ./cmd/sdpcm-bench
 # A sweep big enough to still be in flight when we scrape: every figure at
 # the golden scale.
 "$tmp/sdpcm-bench" -exp all -refs 2000 -cores 4 -benchmarks gemsFDTD,lbm,mcf \
-  -mem-mb 128 -region-pages 256 -listen 127.0.0.1:0 \
+  -mem-mb 128 -region-pages 256 -trace-events 64 -listen 127.0.0.1:0 \
   >"$tmp/stdout.txt" 2>"$tmp/stderr.txt" &
 BENCH_PID=$!
 
@@ -79,9 +81,14 @@ assert "points_done" in p, p
 assert isinstance(p["experiments"], list), p
 EOF
 
-# /events: valid JSON.
+# /events: valid JSON with at least one event. The server closes when the
+# sweep ends, so a successful scrape is a mid-run one.
 curl -fsS "http://$addr/events?n=5" >"$tmp/events.json"
-python3 -c 'import json,sys; json.load(open(sys.argv[1]))' "$tmp/events.json"
+python3 - "$tmp/events.json" <<'EOF'
+import json, sys
+e = json.load(open(sys.argv[1]))
+assert len(e["events"]) >= 1, ("no live events mid-run", e)
+EOF
 
 wait "$BENCH_PID"
 BENCH_PID=""

@@ -160,7 +160,7 @@ const ShardCrossoverCores = sim.ShardCrossoverCores
 // to periodically snapshot a run's complete state, and SimConfig.ResumeFrom
 // to continue from such a snapshot with a Result byte-identical to the
 // uninterrupted run (at any Shards count). Sweeps checkpoint through
-// ExperimentOptions.CheckpointDir / SweepRunner.CheckpointDir.
+// SweepRunner.CheckpointDir.
 var (
 	// ErrResume marks a checkpoint that cannot be used (missing, corrupt,
 	// version-incompatible, or from a different configuration); callers fall
@@ -201,17 +201,19 @@ type MetricsHistogramPoint = metrics.HistogramPoint
 // up; library users compose them directly.
 
 // ObsServer serves the live observability endpoints; publish snapshots with
-// SetSnapshot (assignable to SimConfig.OnSnapshot) and feed its Progress
-// tracker from a sweep observer chain.
+// SetSnapshot (assignable to SimConfig.OnSnapshot) or pass its Sweep fold
+// to a sweep as the observer.
 type ObsServer = obs.Server
 
-// NewObsServer builds an observability server with an empty snapshot and a
-// fresh progress tracker.
+// NewObsServer builds an observability server with no snapshot and an
+// empty sweep fold.
 func NewObsServer() *ObsServer { return obs.NewServer() }
 
-// ObsProgress tracks sweep progress (points done/cached/errored, EWMA point
-// rate, ETA); it implements SweepObserver.
-type ObsProgress = obs.Progress
+// ObsSweep folds a sweep's point events: progress (points done/cached/
+// stored/errored, EWMA point rate, ETA), the deterministic merged metrics
+// snapshot, the merged heatmap and a live event ring. It implements
+// SweepObserver; the zero value is ready to use.
+type ObsSweep = obs.Sweep
 
 // ObsProgressSnapshot is the /progress JSON payload.
 type ObsProgressSnapshot = obs.ProgressSnapshot
@@ -377,8 +379,10 @@ func CapacityComparison(capacityGB float64) (sdpcmGB, dinGB, improvement float64
 // corresponding table/figure of the paper's §6 and returns a renderable
 // result table.
 
-// ExperimentOptions scales the experiment harness (trace length, cores,
-// memory size, benchmark subset, seed).
+// ExperimentOptions scales the experiment harness: an embedded SweepBase
+// (trace length, cores, memory size, seed, observability toggles), the
+// benchmark subset and scheme roster, and the executor — Exec, a
+// *SweepRunner, nil meaning a zero-value one.
 type ExperimentOptions = experiments.Options
 
 // ResultTable is a named grid of experiment results; its String method
@@ -417,8 +421,8 @@ type SweepStats = runner.Stats
 
 // SweepMemoStore is the durable tier under a runner's in-memory memo
 // cache: assign one (e.g. the sweep service's on-disk result store) to
-// SweepRunner.Store or ExperimentOptions.Store and cacheable points hit
-// disk across processes instead of re-simulating.
+// SweepRunner.Store and cacheable points hit disk across processes instead
+// of re-simulating.
 type SweepMemoStore = runner.MemoStore
 
 // SweepObserver receives one event per completed sweep point.
@@ -437,11 +441,6 @@ func SweepProgress(w io.Writer) SweepObserver { return runner.Progress(w) }
 
 // SweepMulti fans each event out to every observer in order.
 func SweepMulti(obs ...SweepObserver) SweepObserver { return runner.Multi(obs...) }
-
-// NewSweepRunner builds a sweep executor from experiment options; assign it
-// to ExperimentOptions.Exec to share its memo cache across figures (the
-// sdpcm-bench -exp all path).
-func NewSweepRunner(o ExperimentOptions) *SweepRunner { return experiments.NewRunner(o) }
 
 // Experiment regenerators, one per published table/figure.
 var (
