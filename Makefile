@@ -24,12 +24,12 @@ bench:
 # because go test splits the -bench regex on '/'.
 # Keep in sync with the baseline regex of the bench-gate job in
 # .github/workflows/ci.yml.
-BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceNeighbourhood$$|BenchmarkWDInject$$|BenchmarkDINEncode$$|BenchmarkECPRecordWD$$|BenchmarkTranslate$$|BenchmarkPrereadIssue$$|BenchmarkWritePath$$|BenchmarkSimulatorThroughput$$|BenchmarkSimRunSharded$$
-BENCH_PKGS = ./internal/pcm ./internal/wd ./internal/din ./internal/ecp ./internal/vm ./internal/mc .
+BENCH_PIN = BenchmarkDevicePeek$$|BenchmarkDeviceWrite$$|BenchmarkDeviceDisturb$$|BenchmarkDeviceNeighbourhood$$|BenchmarkWDInject$$|BenchmarkDINEncode$$|BenchmarkECPRecordWD$$|BenchmarkTranslate$$|BenchmarkPrereadIssue$$|BenchmarkWritePath$$|BenchmarkSimulatorThroughput$$|BenchmarkSimRunSharded$$|BenchmarkGeneratorNext$$|BenchmarkDrawMutation$$
+BENCH_PKGS = ./internal/pcm ./internal/wd ./internal/din ./internal/ecp ./internal/vm ./internal/mc ./internal/workload .
 
 # Where bench-json records the per-benchmark medians; the CI bench-gate sets
 # it explicitly so the Makefile and workflow can never disagree on the name.
-BENCH_OUT ?= BENCH_16.json
+BENCH_OUT ?= BENCH_18.json
 
 # Run the pinned set six times, keep the raw text (bench.txt, what
 # benchstat consumes) and record per-benchmark medians as $(BENCH_OUT).

@@ -111,15 +111,15 @@ func (a *Allocator) DecodeState(d *snap.Decoder) error {
 	nt := d.Uvarint()
 	for i := uint64(0); i < nt && d.Err() == nil; i++ {
 		t := Tag{N: d.Int(), M: d.Int()}
-		no := d.Uvarint()
-		lists := make([][]int, no)
-		for o := uint64(0); o < no && d.Err() == nil; o++ {
-			ns := d.Uvarint()
+		// Each list is at least its count byte, each entry one varint byte.
+		lists := make([][]int, d.Len(1))
+		for o := 0; o < len(lists) && d.Err() == nil; o++ {
+			ns := d.Len(1)
 			if ns == 0 {
 				continue
 			}
 			l := make([]int, 0, ns)
-			for j := uint64(0); j < ns && d.Err() == nil; j++ {
+			for j := 0; j < ns && d.Err() == nil; j++ {
 				l = append(l, d.Int())
 			}
 			lists[o] = l
@@ -131,17 +131,18 @@ func (a *Allocator) DecodeState(d *snap.Decoder) error {
 	nt = d.Uvarint()
 	for i := uint64(0); i < nt && d.Err() == nil; i++ {
 		t := Tag{N: d.Int(), M: d.Int()}
-		ns := d.Uvarint()
+		ns := d.Len(1)
 		f := make(map[int]bool, ns)
-		for j := uint64(0); j < ns && d.Err() == nil; j++ {
+		for j := 0; j < ns && d.Err() == nil; j++ {
 			f[d.Int()] = true
 		}
 		a.fragments[t] = f
 	}
 
-	na := d.Uvarint()
+	// A block is four varints.
+	na := d.Len(4)
 	a.allocated = make(map[int]Block, na)
-	for i := uint64(0); i < na && d.Err() == nil; i++ {
+	for i := 0; i < na && d.Err() == nil; i++ {
 		b := Block{Start: pcm.PageAddr(d.Int()), Order: d.Int(), Tag: Tag{N: d.Int(), M: d.Int()}}
 		a.allocated[int(b.Start)] = b
 	}

@@ -108,8 +108,8 @@ func TestReadReturnsECPCorrectedData(t *testing.T) {
 		t.Fatal("test setup failed: victim not physically disturbed")
 	}
 	// ...but a demand read returns the true data.
-	_, got := c.Read(300000, victim)
-	if got != victimData {
+	c.Read(300000, victim)
+	if got := c.LatestData(victim); got != victimData {
 		t.Fatal("demand read returned uncorrected data")
 	}
 }

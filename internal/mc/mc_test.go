@@ -68,7 +68,7 @@ func lineWith(words ...uint64) pcm.Line {
 
 func TestReadLatency(t *testing.T) {
 	r := newRig(t, dinCfg())
-	done, _ := r.c.Read(1000, pcm.LineOf(100, 0))
+	done := r.c.Read(1000, pcm.LineOf(100, 0))
 	if done != 1400 {
 		t.Fatalf("idle-bank read done at %d, want 1400", done)
 	}
@@ -78,13 +78,13 @@ func TestBankConflictSerialisesReads(t *testing.T) {
 	r := newRig(t, dinCfg())
 	a1 := pcm.LineOf(100, 0)
 	a2 := pcm.LineOf(100+pcm.NumBanks, 0) // same bank, next row
-	done1, _ := r.c.Read(0, a1)
-	done2, _ := r.c.Read(10, a2)
+	done1 := r.c.Read(0, a1)
+	done2 := r.c.Read(10, a2)
 	if done1 != 400 || done2 != 800 {
 		t.Fatalf("same-bank reads done at %d/%d, want 400/800", done1, done2)
 	}
 	// A different bank is independent.
-	done3, _ := r.c.Read(10, pcm.LineOf(101, 0))
+	done3 := r.c.Read(10, pcm.LineOf(101, 0))
 	if done3 != 410 {
 		t.Fatalf("other-bank read done at %d, want 410", done3)
 	}
@@ -99,8 +99,8 @@ func TestWriteReadBack(t *testing.T) {
 		t.Fatalf("queue occupancy = %d", got)
 	}
 	// Forwarding from the queue.
-	done, got := r.c.Read(100, addr)
-	if got != data {
+	done := r.c.Read(100, addr)
+	if got := r.c.LatestData(addr); got != data {
 		t.Fatal("forwarded read returned wrong data")
 	}
 	if done != 100+40 {
@@ -124,8 +124,8 @@ func TestWriteCoalescing(t *testing.T) {
 	if r.c.QueueOccupancy() != 1 || r.c.Stats.Coalesced != 1 {
 		t.Fatalf("occupancy=%d coalesced=%d", r.c.QueueOccupancy(), r.c.Stats.Coalesced)
 	}
-	_, got := r.c.Read(20, addr)
-	if got != lineWith(2) {
+	r.c.Read(20, addr)
+	if got := r.c.LatestData(addr); got != lineWith(2) {
 		t.Fatal("coalesced write must expose the newest data")
 	}
 }
@@ -151,7 +151,7 @@ func TestFullQueueTriggersBurstyDrain(t *testing.T) {
 		t.Fatalf("ops=%d occupancy=%d", r.c.Stats.WriteOps, r.c.QueueOccupancy())
 	}
 	// A read to that bank must wait behind the burst.
-	done, _ := r.c.Read(10, pcm.LineOf(bankPage+16*3, 20))
+	done := r.c.Read(10, pcm.LineOf(bankPage+16*3, 20))
 	if done < 400+400+400 { // initial read + >=1 write op + this read
 		t.Fatalf("read done at %d, expected to wait for the burst", done)
 	}
@@ -177,7 +177,7 @@ func TestBackgroundDrainUsesIdleBanks(t *testing.T) {
 		t.Fatalf("occupancy = %d, want near watermark", r.c.QueueOccupancy())
 	}
 	// Bank long idle: a late read is serviced immediately.
-	done, _ := r.c.Read(10_000_000, pcm.LineOf(100+16*2, 40))
+	done := r.c.Read(10_000_000, pcm.LineOf(100+16*2, 40))
 	if done != 10_000_400 {
 		t.Fatalf("late read done at %d, want 10000400", done)
 	}
@@ -333,7 +333,8 @@ func TestDataIntegrityGolden(t *testing.T) {
 					r.c.Write(clock, addr, data)
 					shadow[addr] = data
 				} else {
-					_, got := r.c.Read(clock, addr)
+					r.c.Read(clock, addr)
+					got := r.c.LatestData(addr)
 					want, ok := shadow[addr]
 					if ok && got != want {
 						t.Fatalf("read %d returned stale/corrupt data", addr)
@@ -401,7 +402,7 @@ func TestPreReadCanceledByDemandRead(t *testing.T) {
 	r.c.Write(0, pcm.LineOf(100, 0), lineWith(1)) // prereads start at 0
 	// Demand read to the same bank 100 cycles later: both prereads are
 	// still in flight (400 cycles each, serial): cancel them.
-	done, _ := r.c.Read(100, pcm.LineOf(100+16, 30))
+	done := r.c.Read(100, pcm.LineOf(100+16, 30))
 	if done != 500 {
 		t.Fatalf("demand read done at %d, want 500 (no preread wait)", done)
 	}
@@ -442,7 +443,7 @@ func TestWriteCancellationPreemptsDrain(t *testing.T) {
 			r.c.Write(uint64(i+1), pcm.LineOf(100, i), lineWith(uint64(i), ^uint64(i), uint64(i)*3))
 		}
 		// Read arriving mid-drain.
-		done, _ := r.c.Read(1000, pcm.LineOf(100+16*2, 40))
+		done := r.c.Read(1000, pcm.LineOf(100+16*2, 40))
 		return r, done
 	}
 	_, doneNoWC := mkRig(false)

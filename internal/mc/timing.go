@@ -9,26 +9,25 @@ import (
 // read servicing and the complete VnC write op. Like queue.go, it reaches
 // the pluggable policies only through their interfaces.
 
-// Read services a demand read arriving at `now`. It returns the cycle the
-// data is available and the (ECP-corrected, decoded) line content.
-func (c *Controller) Read(now uint64, addr pcm.LineAddr) (uint64, pcm.Line) {
+// Read services a demand read arriving at `now` and returns the cycle the
+// data is available. It models timing only: the content a read returns is
+// LatestData(addr) right after it, which only callers that check it build.
+func (c *Controller) Read(now uint64, addr pcm.LineAddr) uint64 {
 	c.Stats.DemandReads++
 	loc := c.geo.Locate(addr)
 	b := &c.banks[loc.Bank]
 	// Write-queue forwarding: the freshest value lives in the queue.
-	if i := b.find(addr); i >= 0 {
-		e := b.wq[i]
+	if b.find(addr) >= 0 {
 		c.Stats.ForwardedReads++
 		done := now + uint64(c.cfg.ForwardCycles)
 		c.Stats.ReadLatencySum += uint64(c.cfg.ForwardCycles)
 		c.readLat.Observe(uint64(c.cfg.ForwardCycles))
-		return done, e.data
+		return done
 	}
 	c.catchUp(b, now)
 	c.cfg.Drain.onRead(c, b, now, addr)
 	c.cfg.Preread.cancel(c, b, now)
 	start := max(now, b.freeAt)
-	data := c.PeekData(addr)
 	c.dev.CountRead(addr) // demand array read
 	done := start + uint64(c.cfg.Timing.ReadCycles)
 	b.freeAt = done
@@ -36,7 +35,7 @@ func (c *Controller) Read(now uint64, addr pcm.LineAddr) (uint64, pcm.Line) {
 	c.Stats.ReadLatencySum += done - now
 	c.Stats.ReadWaitSum += start - now
 	c.readLat.Observe(done - now)
-	return done, data
+	return done
 }
 
 // executeWrite runs one complete write operation for a queue entry and

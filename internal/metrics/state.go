@@ -112,8 +112,7 @@ func (r *Registry) DecodeState(d *snap.Decoder) error {
 	nh := d.Uvarint()
 	for i := uint64(0); i < nh && d.Err() == nil; i++ {
 		name := d.String()
-		nb := d.Uvarint()
-		bounds := make([]uint64, nb)
+		bounds := make([]uint64, d.Len(8))
 		for j := range bounds {
 			bounds[j] = d.U64()
 		}

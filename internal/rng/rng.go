@@ -17,8 +17,58 @@ import "math/bits"
 // It is not safe for concurrent use; use Split to give each goroutine or
 // subsystem its own stream.
 type Rand struct {
-	s [4]uint64
+	s Stream
 }
+
+// Stream is a Rand's xoshiro256** state as a value. Load copies it out and
+// Store writes it back; in between, a hot loop draws with
+//
+//	s, x = s.Uint64()
+//	s, hit = s.Bernoulli(p)
+//
+// Because every draw returns the advanced state instead of writing through
+// a pointer, the four words are never address-taken and the compiler keeps
+// them in registers for the whole loop. The draws are exactly the Rand's:
+// Rand.Uint64 is this Uint64, and Rand.Bernoulli decides as this Bernoulli.
+//
+// The contract: between r.Load() and r.Store(s) nothing else may draw from
+// r. Such a draw would be overwritten by Store and replayed by the next
+// user, silently duplicating part of the stream.
+type Stream struct {
+	s0, s1, s2, s3 uint64
+}
+
+// Load returns a copy of the generator's state for a run of draws that
+// ends with Store.
+func (r *Rand) Load() Stream { return r.s }
+
+// Store writes back a state obtained from Load and advanced since.
+func (r *Rand) Store(s Stream) { r.s = s }
+
+// Uint64 returns the stream advanced by one step and that step's 64
+// uniformly distributed bits: the one definition of the xoshiro256** step.
+func (s Stream) Uint64() (Stream, uint64) {
+	s2, s3 := s.s2^s.s0, s.s3^s.s1
+	return Stream{s.s0 ^ s3, s.s1 ^ s2, s2 ^ s.s1<<17, bits.RotateLeft64(s3, 45)},
+		bits.RotateLeft64(s.s1*5, 7) * 9
+}
+
+// Bernoulli returns the advanced stream and true with probability p. It
+// decides as Rand.Bernoulli does for every p, but always makes one draw:
+// Rand.Bernoulli draws nothing at p <= 0 or p >= 1. A loop that must
+// consume the stream exactly as Rand.Bernoulli calls would settles those
+// two cases once, before it loads the stream. Drawing unconditionally keeps
+// this within the compiler's inlining budget, and so in registers.
+func (s Stream) Bernoulli(p float64) (Stream, bool) {
+	s, x := s.Uint64()
+	return s, below(x, p)
+}
+
+// below decides a Bernoulli(p) draw from x: Float64() < p without the
+// divide. Scaling both sides by 2^53 is exact (the draw is an integer below
+// 2^53, and p*2^53 cannot overflow or round), so every draw decides exactly
+// as the definition does: never for p <= 0, always for p >= 1.
+func below(x uint64, p float64) bool { return float64(x>>11) < p*(1<<53) }
 
 // splitmix64 advances the given state and returns the next output.
 // It is used for seeding so that nearby seeds produce unrelated states.
@@ -33,23 +83,22 @@ func splitmix64(state *uint64) uint64 {
 // New returns a generator seeded from seed. Any seed, including zero, yields
 // a valid non-degenerate state.
 func New(seed uint64) *Rand {
-	r := &Rand{}
+	var s [4]uint64
 	sm := seed
-	for i := range r.s {
-		r.s[i] = splitmix64(&sm)
+	for i := range s {
+		s[i] = splitmix64(&sm)
 	}
 	// xoshiro requires a not-all-zero state; splitmix64 outputs make an
-	// all-zero state astronomically unlikely, but guard anyway.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 1
-	}
+	// all-zero state astronomically unlikely, but SetState guards anyway.
+	r := &Rand{}
+	r.SetState(s)
 	return r
 }
 
 // State returns the generator's internal xoshiro256** state, for
 // checkpointing. SetState with the returned value reproduces the stream
 // exactly from this point.
-func (r *Rand) State() [4]uint64 { return r.s }
+func (r *Rand) State() [4]uint64 { return [4]uint64{r.s.s0, r.s.s1, r.s.s2, r.s.s3} }
 
 // SetState overwrites the generator's internal state with one previously
 // obtained from State. An all-zero state is degenerate (xoshiro would emit
@@ -59,20 +108,13 @@ func (r *Rand) SetState(s [4]uint64) {
 	if s[0]|s[1]|s[2]|s[3] == 0 {
 		s[0] = 1
 	}
-	r.s = s
+	r.s = Stream{s[0], s[1], s[2], s[3]}
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
-func (r *Rand) Uint64() uint64 {
-	result := bits.RotateLeft64(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = bits.RotateLeft64(r.s[3], 45)
-	return result
+func (r *Rand) Uint64() (x uint64) {
+	r.s, x = r.s.Uint64()
+	return x
 }
 
 // Split returns a new generator whose stream is statistically independent of
@@ -167,10 +209,7 @@ func (r *Rand) Bernoulli(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	// Float64() < p without the divide: scaling both sides by 2^53 is exact
-	// (the draw is an integer below 2^53, and p*2^53 cannot overflow or
-	// round), so every draw decides exactly as before.
-	return float64(r.Uint64()>>11) < p*(1<<53)
+	return below(r.Uint64(), p)
 }
 
 // Perm returns a random permutation of [0,n).
@@ -242,12 +281,18 @@ func (r *Rand) Geometric(p float64) int {
 	if p <= 0 {
 		panic("rng: Geometric with non-positive p")
 	}
+	s := r.Load()
 	n := 0
-	for !r.Bernoulli(p) {
+	for {
+		var hit bool
+		if s, hit = s.Bernoulli(p); hit {
+			break
+		}
 		n++
 		if n > 1<<24 { // defensive bound for absurdly small p
-			return n
+			break
 		}
 	}
+	r.Store(s)
 	return n
 }

@@ -335,3 +335,91 @@ func TestBernoulliExactScaling(t *testing.T) {
 		}
 	}
 }
+
+// geometricRef is Geometric as it was before it drew from a Stream: one
+// Bernoulli call on the Rand per trial, with the same 1<<24 cap.
+func geometricRef(r *Rand, p float64) int {
+	if p >= 1 {
+		return 0
+	}
+	if p <= 0 {
+		panic("rng: Geometric with non-positive p")
+	}
+	n := 0
+	for !r.Bernoulli(p) {
+		n++
+		if n > 1<<24 {
+			return n
+		}
+	}
+	return n
+}
+
+// TestStreamMatchesRand: draws from a loaded Stream are the Rand's own
+// draws, Stream.Bernoulli decides as Rand.Bernoulli does at every p (making
+// the one draw Rand.Bernoulli skips at p <= 0 and p >= 1), and Store leaves
+// the Rand where the same calls on it would.
+func TestStreamMatchesRand(t *testing.T) {
+	for _, p := range []float64{0, 1e-9, 0.3, 1 - 0x1p-53, 1} {
+		a, b := New(5), New(5)
+		s := b.Load()
+		for i := 0; i < 10000; i++ {
+			if i%3 == 0 {
+				var got uint64
+				if s, got = s.Uint64(); got != a.Uint64() {
+					t.Fatalf("p=%v draw %d: Stream.Uint64 differs from Rand.Uint64", p, i)
+				}
+				continue
+			}
+			var got bool
+			if s, got = s.Bernoulli(p); got != a.Bernoulli(p) {
+				t.Fatalf("p=%v draw %d: Stream.Bernoulli differs from Rand.Bernoulli", p, i)
+			}
+			if p <= 0 || p >= 1 {
+				a.Uint64()
+			}
+		}
+		b.Store(s)
+		if a.State() != b.State() {
+			t.Fatalf("p=%v: stored state differs from the Rand's", p)
+		}
+	}
+}
+
+// TestGeometricMatchesPerCallReference: the stream-based Geometric returns
+// the reference's values and leaves the Rand in the reference's state,
+// including at p = 1e-9, where nearly every call stops at the 1<<24 cap.
+func TestGeometricMatchesPerCallReference(t *testing.T) {
+	for _, tc := range []struct {
+		p     float64
+		calls int
+	}{{1e-9, 3}, {1e-3, 200}, {0.3, 5000}, {1 - 0x1p-53, 5000}, {1, 100}} {
+		a, b := New(11), New(11)
+		capped := 0
+		for i := 0; i < tc.calls; i++ {
+			want := geometricRef(a, tc.p)
+			if got := b.Geometric(tc.p); got != want {
+				t.Fatalf("p=%v call %d: Geometric %d, reference %d", tc.p, i, got, want)
+			}
+			if a.State() != b.State() {
+				t.Fatalf("p=%v call %d: RNG state diverged from the reference", tc.p, i)
+			}
+			if want == 1<<24+1 {
+				capped++
+			}
+		}
+		if tc.p == 1e-9 && capped == 0 {
+			t.Fatal("p=1e-9 never reached the 1<<24 cap")
+		}
+	}
+	for _, g := range []func(*Rand, float64) int{(*Rand).Geometric, geometricRef} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Geometric(0) did not panic")
+				}
+			}()
+			g(New(1), 0)
+		}()
+	}
+}

@@ -22,10 +22,10 @@ import (
 // which may lag). Either way the per-op work is the plane's read, write and
 // copyLine.
 type bankExec interface {
-	// read performs a blocking demand read and returns its completion time
-	// and data. logical keys the integrity shadow; err reports a shadow
+	// read performs a blocking demand read and returns its completion
+	// time. logical keys the integrity shadow; err reports a shadow
 	// mismatch, surfaced in program order.
-	read(now uint64, addr, logical pcm.LineAddr) (uint64, pcm.Line, error)
+	read(now uint64, addr, logical pcm.LineAddr) (uint64, error)
 	// write posts a write of the pre-drawn mutation applied to the line's
 	// latest queued-or-stored content.
 	write(now uint64, addr, logical pcm.LineAddr, m workload.Mutation)
@@ -87,7 +87,6 @@ const (
 // readReply is the rendezvous payload for opRead and opBarrier.
 type readReply struct {
 	done uint64
-	data pcm.Line
 	err  error
 }
 
@@ -220,8 +219,8 @@ func (w *shardWorker) apply(p *bankPlane, i uint64) {
 	case opWrite:
 		p.write(r.now[i], r.addr[i], r.logical[i], r.mut[i])
 	case opRead:
-		done, data, err := p.read(r.now[i], r.addr[i], r.logical[i])
-		w.replies <- readReply{done: done, data: data, err: err}
+		done, err := p.read(r.now[i], r.addr[i], r.logical[i])
+		w.replies <- readReply{done: done, err: err}
 	case opCopy:
 		p.copyLine(r.now[i], pcm.LineAddr(r.aux[i]), r.addr[i])
 	case opTag:
@@ -375,7 +374,7 @@ func (e *shardExec) stealPending(w *shardWorker) {
 	w.ptail = w.ppub
 }
 
-func (e *shardExec) read(now uint64, addr, logical pcm.LineAddr) (uint64, pcm.Line, error) {
+func (e *shardExec) read(now uint64, addr, logical pcm.LineAddr) (uint64, error) {
 	w := e.shardFor(addr)
 	if w.caughtUp() {
 		// Fast path: the shard is idle and owes us nothing. Apply our own
@@ -392,7 +391,7 @@ func (e *shardExec) read(now uint64, addr, logical pcm.LineAddr) (uint64, pcm.Li
 
 // rendezvous posts a demand read into w's op stream behind its backlog and
 // blocks until the worker replies.
-func (e *shardExec) rendezvous(w *shardWorker, now uint64, addr, logical pcm.LineAddr) (uint64, pcm.Line, error) {
+func (e *shardExec) rendezvous(w *shardWorker, now uint64, addr, logical pcm.LineAddr) (uint64, error) {
 	i := e.grab(w)
 	r := w.ring
 	r.kind[i] = opRead
@@ -405,7 +404,7 @@ func (e *shardExec) rendezvous(w *shardWorker, now uint64, addr, logical pcm.Lin
 	w.window = minBatch
 	e.mRendez.Inc()
 	rep := <-w.replies
-	return rep.done, rep.data, rep.err
+	return rep.done, rep.err
 }
 
 func (e *shardExec) write(now uint64, addr, logical pcm.LineAddr, m workload.Mutation) {

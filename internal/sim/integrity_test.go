@@ -94,7 +94,7 @@ func TestIntegrityDetectsCorruption(t *testing.T) {
 		read   func(t *testing.T, s *execSide, now uint64) error
 	}{
 		{"inline", 1, func(t *testing.T, s *execSide, now uint64) error {
-			_, _, err := s.exec.read(now, a, a)
+			_, err := s.exec.read(now, a, a)
 			return err
 		}},
 		{"steal", 2, func(t *testing.T, s *execSide, now uint64) error {
@@ -102,11 +102,11 @@ func TestIntegrityDetectsCorruption(t *testing.T) {
 			if !w.caughtUp() {
 				t.Fatal("shard not caught up after a barrier: read would rendezvous")
 			}
-			_, _, err := s.sharded.read(now, a, a)
+			_, err := s.sharded.read(now, a, a)
 			return err
 		}},
 		{"rendezvous", 2, func(t *testing.T, s *execSide, now uint64) error {
-			_, _, err := s.sharded.rendezvous(s.sharded.shardFor(a), now, a, a)
+			_, err := s.sharded.rendezvous(s.sharded.shardFor(a), now, a, a)
 			return err
 		}},
 	} {

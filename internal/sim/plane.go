@@ -97,17 +97,20 @@ func (p *bankPlane) bankOf(a pcm.LineAddr) int { return p.geo.Locate(a).Bank }
 // ctrlFor returns the controller owning a line address.
 func (p *bankPlane) ctrlFor(a pcm.LineAddr) *mc.Controller { return p.ctrls[p.bankOf(a)] }
 
-// read performs a blocking demand read and returns its completion time and
-// data. logical keys the integrity shadow; err reports a shadow mismatch.
-func (p *bankPlane) read(now uint64, addr, logical pcm.LineAddr) (uint64, pcm.Line, error) {
+// read performs a blocking demand read and returns its completion time.
+// logical keys the integrity shadow; err reports a shadow mismatch. The
+// read's data is built only for that check: it is the controller's
+// LatestData right after the read (a write-queue miss before the read's
+// catch-up stays a miss after it, because only a new write adds entries).
+func (p *bankPlane) read(now uint64, addr, logical pcm.LineAddr) (uint64, error) {
 	b := p.bankOf(addr)
-	done, data := p.ctrls[b].Read(now, addr)
+	done := p.ctrls[b].Read(now, addr)
 	if p.shadow != nil {
-		if want, ok := p.shadow[b][logical]; ok && data != want {
-			return done, data, fmt.Errorf("sim: integrity violation: read of line %d returned corrupted data", logical)
+		if want, ok := p.shadow[b][logical]; ok && p.ctrls[b].LatestData(addr) != want {
+			return done, fmt.Errorf("sim: integrity violation: read of line %d returned corrupted data", logical)
 		}
 	}
-	return done, data, nil
+	return done, nil
 }
 
 // write posts a write of the pre-drawn mutation applied to the line's

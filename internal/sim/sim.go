@@ -487,7 +487,7 @@ func Run(cfg Config) (Result, error) {
 			// The request crosses the link before the module sees it and
 			// the data crosses back: both legs charge the module's link
 			// latency on the blocking load.
-			done, _, err := m.exec.read(c.time+m.link, addr, logical)
+			done, err := m.exec.read(c.time+m.link, addr, logical)
 			if err != nil {
 				return Result{}, err
 			}

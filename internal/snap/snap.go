@@ -190,6 +190,23 @@ func (d *Decoder) Uvarint() uint64 {
 	return v
 }
 
+// Len reads the count of a list whose items each take at least minBytes
+// encoded bytes (minBytes >= 1). A count that many items could not fit in
+// what remains of the enclosing section is recorded as a *RangeError and
+// reads as 0, so a caller may size a slice or map from the result: the
+// allocation is bounded by the input, not by a crafted count.
+func (d *Decoder) Len(minBytes int) int {
+	n := d.Uvarint()
+	if d.err != nil {
+		return 0
+	}
+	if left := d.limit() - d.pos; n > uint64(left/minBytes) {
+		d.Reject("count %d of %d-byte items overruns the %d bytes left at offset %d", n, minBytes, left, d.pos)
+		return 0
+	}
+	return int(n)
+}
+
 // Varint reads a zig-zag signed varint.
 func (d *Decoder) Varint() int64 {
 	if d.err != nil {

@@ -213,3 +213,44 @@ func TestStickyError(t *testing.T) {
 		t.Errorf("later reads replaced the first error: %v", d.Err())
 	}
 }
+
+// TestLenBoundsCountByRemainingBytes: a count whose items fit in the rest of
+// the section reads back; one item more is a *RangeError that reads as 0
+// and sticks, and the section bounds it, not the file.
+func TestLenBoundsCountByRemainingBytes(t *testing.T) {
+	decode := func(count uint64, minBytes int) (int, *Decoder) {
+		e := NewEncoder(1)
+		e.Begin("s")
+		e.Uvarint(count)
+		for i := 0; i < 3; i++ {
+			e.U64(uint64(i))
+		}
+		e.End()
+		e.U64(0) // after the section: never counted
+		d, err := NewDecoder(e.Finish(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Begin("s")
+		return d.Len(minBytes), d
+	}
+	if n, d := decode(3, 8); n != 3 || d.Err() != nil {
+		t.Fatalf("3 fitting items: Len = %d, err %v", n, d.Err())
+	}
+	if n, d := decode(24, 1); n != 24 || d.Err() != nil {
+		t.Fatalf("24 one-byte items: Len = %d, err %v", n, d.Err())
+	}
+	for _, tc := range []struct {
+		count    uint64
+		minBytes int
+	}{{4, 8}, {25, 1}, {1 << 62, 1}, {^uint64(0), 8}} {
+		n, d := decode(tc.count, tc.minBytes)
+		var re *RangeError
+		if n != 0 || !errors.As(d.Err(), &re) {
+			t.Fatalf("count %d of %d-byte items: Len = %d, err %v, want 0 and *RangeError", tc.count, tc.minBytes, n, d.Err())
+		}
+		if d.Uvarint(); d.Err() != error(re) {
+			t.Fatalf("count %d: the range error did not stick", tc.count)
+		}
+	}
+}

@@ -41,8 +41,7 @@ func BenchmarkWDInject(b *testing.B) {
 }
 
 // TestOnWriteAllocFree pins the WD sample path at zero allocations: the
-// Bernoulli sampling over pulse maps runs through the allocation-free
-// mask visitor.
+// Bernoulli sampling over pulse maps draws from a stack-held rng.Stream.
 func TestOnWriteAllocFree(t *testing.T) {
 	dev, err := pcm.NewDevice(pcm.Config{Pages: 64, FillSeed: 3})
 	if err != nil {

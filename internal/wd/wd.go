@@ -116,21 +116,37 @@ type Outcome struct {
 }
 
 // sample returns the subset of mask whose bits each flip with probability p.
-// The visit order (ascending bit index) fixes the RNG consumption order and
-// is part of the repository's determinism contract: golden tables and
-// equivalence fingerprints depend on it. The allocation-free visitor keeps
-// this — the hottest per-write loop — off the heap entirely.
+// The visit order (ascending bit index, one draw per set bit) fixes the RNG
+// consumption order and is part of the repository's determinism contract:
+// golden tables and equivalence fingerprints depend on it. The draws come
+// from a register-held rng.Stream, and nothing else draws from e.rnd
+// between its Load and Store.
 func (e *Engine) sample(mask pcm.Mask, p float64) pcm.Mask {
 	var out pcm.Mask
-	if p <= 0 || !mask.Any() {
+	// No draws at the extremes, as per-bit Rand.Bernoulli calls made none.
+	if p <= 0 {
 		return out
 	}
-	mask.VisitBits(func(b int) bool {
-		if e.rnd.Bernoulli(p) {
-			out.SetBit(b)
+	if p >= 1 {
+		return mask
+	}
+	s := e.rnd.Load()
+	for w, word := range mask {
+		var flips uint64
+		for ; word != 0; word &= word - 1 {
+			var hit bool
+			s, hit = s.Bernoulli(p)
+			// A conditional move, not a branch: the predictor cannot
+			// learn a coin toss.
+			bit := word & -word
+			if !hit {
+				bit = 0
+			}
+			flips |= bit
 		}
-		return true
-	})
+		out[w] = flips
+	}
+	e.rnd.Store(s)
 	return out
 }
 

@@ -270,3 +270,22 @@ func TestMutatorMatchesGeneratorModel(t *testing.T) {
 		t.Fatalf("generator flips %v vs mutator %v: models diverged", a, b)
 	}
 }
+
+// BenchmarkGeneratorNext measures one reference of the mcf generator, the
+// pointer-chasing model with the most random jumps. Pinned in the
+// benchstat CI gate.
+func BenchmarkGeneratorNext(b *testing.B) {
+	spec, err := ByName("mcf")
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := NewGenerator(spec, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, _ = g.Next()
+	}
+}
